@@ -21,10 +21,18 @@
 //   sqrt(p)) per-rank volume).
 //
 //   X rounds (one per grid row a):   rank (i,j) multiplies the N^r_a row
-//     slice of its A* slab with B'_{i,j} and tree-reduces the partial over
-//     its process column onto rank (a,j) (sparse reduce, Sec. VI-A).
+//     slice of its A* slab with B'_{i,j} and posts a tree reduction of the
+//     partial over its process column onto rank (a,j) (sparse reduce,
+//     Sec. VI-A).
 //   Y rounds (one per grid col b):   A_{i,j} times the M^c_b column slice of
-//     the B* slab, tree-reduced over the process row onto rank (i,b).
+//     the B* slab, posted for tree reduction over the process row onto
+//     rank (i,b).
+//   Post all partials, then complete: every rank computes and posts all its
+//   X and Y partials before it completes any reduction, then completes them
+//   in post order and absorbs each reduced block it owns. A leaf's partial
+//   is forwarded at post time, so no rank's multiply waits behind another
+//   rank's merge and absorb. Merge order (the binomial tree) and absorb
+//   order (X by a, then Y by b) do not depend on when partials are posted.
 //
 // Communication volume is O((nnz(A*) + nnz(B*) + nnz(C*)) / sqrt(p)) versus
 // SUMMA's O((nnz(A) + nnz(B')) / sqrt(p)).
@@ -155,13 +163,20 @@ void algebraic_rounds(ProcessGrid& grid, const DistDcsr<T>& Astar,
                                                  std::move(btrip));
     }
 
-    auto merge_buffers = [&](par::Buffer a, par::Buffer b) {
-        auto ma = Dcsr<V>::deserialize(a);
-        auto mb = Dcsr<V>::deserialize(b);
-        return sparse::dcsr_add(ma, mb, add_v).serialize();
+    // ---- Post every round's partial before completing any reduction: X
+    // rounds onto (a, j) down the process column, then Y rounds onto (i, b)
+    // along the process row.
+    std::vector<par::Comm::PendingReduce> pending;
+    pending.reserve(static_cast<std::size_t>(rows + cols));
+    auto post = [&](par::Comm& comm, int root, const Dcsr<V>& part) {
+        par::Buffer wire;
+        {
+            Profiler::Scope scope(Phase::Scatter);
+            wire = part.serialize();
+        }
+        Profiler::Scope scope(Phase::ReduceScatter);
+        pending.push_back(comm.ireduce_merge(root, std::move(wire)));
     };
-
-    // ---- X rounds: one per grid row (output row block).
     for (int a = 0; a < rows; ++a) {
         Dcsr<V> x_part;
         {
@@ -170,19 +185,8 @@ void algebraic_rounds(ProcessGrid& grid, const DistDcsr<T>& Astar,
                 sparse::dcsr_row_block(aslab, nr.offset(a), nr.offset(a + 1)),
                 a);
         }
-        par::Buffer x_wire;
-        {
-            Profiler::Scope scope(Phase::Scatter);
-            x_wire = x_part.serialize();
-        }
-        {
-            Profiler::Scope scope(Phase::ReduceScatter);
-            par::Buffer xr = grid.col_comm().reduce_merge(
-                a, std::move(x_wire), merge_buffers);
-            if (i == a) absorb_x(Dcsr<V>::deserialize(xr));
-        }
+        post(grid.col_comm(), a, x_part);
     }
-    // ---- Y rounds: one per grid column (output column block).
     for (int b = 0; b < cols; ++b) {
         Dcsr<V> y_part;
         {
@@ -191,17 +195,23 @@ void algebraic_rounds(ProcessGrid& grid, const DistDcsr<T>& Astar,
                 sparse::dcsr_col_block(bslab, mc.offset(b), mc.offset(b + 1)),
                 b);
         }
-        par::Buffer y_wire;
-        {
-            Profiler::Scope scope(Phase::Scatter);
-            y_wire = y_part.serialize();
-        }
-        {
-            Profiler::Scope scope(Phase::ReduceScatter);
-            par::Buffer yr = grid.row_comm().reduce_merge(
-                b, std::move(y_wire), merge_buffers);
-            if (j == b) absorb_y(Dcsr<V>::deserialize(yr));
-        }
+        post(grid.row_comm(), b, y_part);
+    }
+
+    // ---- Complete in post order (interior tree nodes merge and forward
+    // inside wait()); each owner absorbs its reduced X_{a,j} / Y_{i,b}.
+    auto merge = [&](par::Buffer a, par::Buffer b) {
+        return sparse::dcsr_add_wire<V>(a, b, add_v);
+    };
+    Profiler::Scope scope(Phase::ReduceScatter);
+    for (int a = 0; a < rows; ++a) {
+        par::Buffer xr = pending[static_cast<std::size_t>(a)].wait(merge);
+        if (i == a) absorb_x(Dcsr<V>::deserialize(xr));
+    }
+    for (int b = 0; b < cols; ++b) {
+        par::Buffer yr =
+            pending[static_cast<std::size_t>(rows + b)].wait(merge);
+        if (j == b) absorb_y(Dcsr<V>::deserialize(yr));
     }
 }
 
@@ -308,9 +318,7 @@ void dynamic_spgemm_algebraic_transA(DistDynamicMatrix<T>& C,
 
     auto add = [](const T& a, const T& b) { return SR::add(a, b); };
     auto merge_buffers = [&](par::Buffer a, par::Buffer b) {
-        auto ma = Dcsr<T>::deserialize(a);
-        auto mb = Dcsr<T>::deserialize(b);
-        return sparse::dcsr_add(ma, mb, add).serialize();
+        return sparse::dcsr_add_wire<T>(a, b, add);
     };
     auto absorb = [&](const Dcsr<T>& reduced) {
         Profiler::Scope scope(Phase::LocalAddition);
@@ -453,9 +461,7 @@ void dynamic_spgemm_algebraic_transB(DistDynamicMatrix<T>& C,
 
     auto add = [](const T& a, const T& b) { return SR::add(a, b); };
     auto merge_buffers = [&](par::Buffer a, par::Buffer b) {
-        auto ma = Dcsr<T>::deserialize(a);
-        auto mb = Dcsr<T>::deserialize(b);
-        return sparse::dcsr_add(ma, mb, add).serialize();
+        return sparse::dcsr_add_wire<T>(a, b, add);
     };
     auto absorb_triples = [&](const std::vector<Triple<T>>& ts) {
         Profiler::Scope scope(Phase::LocalAddition);

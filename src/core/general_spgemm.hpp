@@ -155,19 +155,15 @@ GeneralSpgemmStats general_dynamic_spgemm(
     }
 
     auto merge_vb = [&](par::Buffer a, par::Buffer b) {
-        auto ma = Dcsr<VB>::deserialize(a);
-        auto mb = Dcsr<VB>::deserialize(b);
-        return sparse::dcsr_add(ma, mb,
-                                [](const VB& x, const VB& y) {
-                                    return VB{SR::add(x.value, y.value),
-                                              x.bits | y.bits};
-                                })
-            .serialize();
+        return sparse::dcsr_add_wire<VB>(a, b, [](const VB& x, const VB& y) {
+            return VB{SR::add(x.value, y.value), x.bits | y.bits};
+        });
     };
 
     // One round per grid row a: mask C*_{a,j} comes down the process column;
     // the A^R rows for output block a are already local in the slab. In
-    // async mode round a+1's mask is posted before round a's multiply.
+    // async mode round a+1's mask is posted before round a's multiply. Every
+    // round's Z partial is posted for reduction before any is completed.
     auto post_mask = [&](int a) {
         Profiler::Scope scope(Phase::Bcast);
         par::Buffer mbuf;
@@ -177,7 +173,8 @@ GeneralSpgemmStats general_dynamic_spgemm(
     std::optional<par::Comm::PendingBcast> inflight;
     if (async && rows > 0) inflight.emplace(post_mask(0));
 
-    Dcsr<VB> z_mine(C.shape().local_rows(), C.shape().local_cols());
+    std::vector<par::Comm::PendingReduce> pending;
+    pending.reserve(static_cast<std::size_t>(rows));
     for (int a = 0; a < rows; ++a) {
         Dcsr<std::uint64_t> cstar_aj;
         {
@@ -210,10 +207,16 @@ GeneralSpgemmStats general_dynamic_spgemm(
                 rp.size(a), C.shape().local_cols(), sparse::as_left(ar_slice),
                 sparse::as_right(Bprime.local()), sopts);
         }
-        {
-            Profiler::Scope scope(Phase::ReduceScatter);
+        Profiler::Scope scope(Phase::ReduceScatter);
+        pending.push_back(grid.col_comm().ireduce_merge(a, z_part.serialize()));
+    }
+    // Complete the Z reductions in post order; this rank owns round i's.
+    Dcsr<VB> z_mine(C.shape().local_rows(), C.shape().local_cols());
+    {
+        Profiler::Scope scope(Phase::ReduceScatter);
+        for (int a = 0; a < rows; ++a) {
             par::Buffer zr =
-                grid.col_comm().reduce_merge(a, z_part.serialize(), merge_vb);
+                pending[static_cast<std::size_t>(a)].wait(merge_vb);
             if (i == a) z_mine = Dcsr<VB>::deserialize(zr);
         }
     }

@@ -429,31 +429,58 @@ std::vector<Buffer> Comm::allgather(Buffer msg) {
     return out;
 }
 
-Buffer Comm::reduce_merge(int root, Buffer mine,
-                          const std::function<Buffer(Buffer, Buffer)>& merge) {
+// The binomial tree of reduce_merge, split at its first receive. Relative
+// rank rel = (rank - root) mod p receives from rel + step for each step below
+// its lowest set bit, then forwards to rel - step; the root only receives.
+// The post runs the steps up to the first receive, so a leaf's buffer is in
+// its parent's mailbox when ireduce_merge returns. The tag comes from the
+// lockstep sequence number at post time, so reductions in flight together
+// never match each other's messages.
+
+Comm::PendingReduce Comm::ireduce_merge(int root, Buffer mine) {
+    auto& g = *group_;
+    g.stats().collectives.fetch_add(1, std::memory_order_relaxed);
+    const int tag = detail::CommGroup::coll_tag(g.next_seq(rank_));
+    g.check_abort();
+    PendingReduce pending(group_, rank_, root, tag, 1, std::move(mine));
+    pending.advance(nullptr);
+    return pending;
+}
+
+void Comm::PendingReduce::advance(
+    const std::function<Buffer(Buffer, Buffer)>* merge) {
     auto& g = *group_;
     const int p = g.size();
-    g.stats().collectives.fetch_add(1, std::memory_order_relaxed);
-    const auto seq = g.next_seq(rank_);
-    const int tag = detail::CommGroup::coll_tag(seq);
-    const int rel = (rank_ - root + p) % p;
-    Buffer acc = std::move(mine);
-    for (int step = 1; step < p; step <<= 1) {
-        if (rel & step) {
-            const int dst = ((rel - step) + root) % p;
+    const int rel = (rank_ - root_ + p) % p;
+    for (; step_ < p; step_ <<= 1) {
+        if (rel & step_) {
+            const int dst = ((rel - step_) + root_) % p;
             g.stats().p2p_messages.fetch_add(1, std::memory_order_relaxed);
-            g.stats().reduce_bytes.fetch_add(acc.size(),
+            g.stats().reduce_bytes.fetch_add(acc_.size(),
                                              std::memory_order_relaxed);
-            g.deliver(rank_, dst, tag, std::move(acc));
-            return {};
+            g.deliver(rank_, dst, tag_, std::move(acc_));
+            step_ = p;  // forwarded: nothing left for wait()
+            return;
         }
-        if (rel + step < p) {
-            const int src = ((rel + step) + root) % p;
-            Buffer other = g.take(rank_, src, tag);
-            acc = merge(std::move(acc), std::move(other));
+        if (rel + step_ < p) {
+            if (merge == nullptr) return;
+            const int src = ((rel + step_) + root_) % p;
+            Buffer other = g.take(rank_, src, tag_);
+            acc_ = (*merge)(std::move(acc_), std::move(other));
         }
     }
-    return acc;
+}
+
+Buffer Comm::PendingReduce::wait(
+    const std::function<Buffer(Buffer, Buffer)>& merge) {
+    advance(&merge);
+    if (rank_ != root_) return {};
+    return std::move(acc_);
+}
+
+Buffer Comm::reduce_merge(int root, Buffer mine,
+                          const std::function<Buffer(Buffer, Buffer)>& merge) {
+    return ireduce_merge(root, std::move(mine)).wait(merge);
 }
 
 void Comm::allreduce_or(std::vector<std::uint64_t>& words) {

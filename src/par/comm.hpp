@@ -110,13 +110,13 @@ public:
 
     // -- non-blocking collectives -------------------------------------------
     //
-    // Post/wait halves of bcast and alltoallv (the DistEmbed-style sync/async
-    // switch). A post enqueues the payload into peers' mailboxes immediately
-    // and returns a handle; the matching wait() blocks until the peer
-    // payloads have arrived. Posts count as collectives and must be issued by
-    // every rank in the same order (like the blocking forms), but any number
-    // may be outstanding, and ranks may interleave local compute between post
-    // and wait — that is the overlap. wait() must be called exactly once.
+    // Post/wait halves of bcast, alltoallv and reduce_merge. A post enqueues
+    // the payload into peers' mailboxes immediately and returns a handle; the
+    // matching wait() blocks until the peer payloads have arrived. Posts
+    // count as collectives and must be issued by every rank in the same order
+    // (like the blocking forms), but any number may be outstanding, and ranks
+    // may interleave local compute between post and wait — that is the
+    // overlap. wait() must be called exactly once.
 
     /// In-flight ibcast; wait() yields what bcast(root, msg) would return.
     class PendingBcast {
@@ -154,12 +154,43 @@ public:
         Buffer own_;
     };
 
+    /// In-flight ireduce_merge; wait(merge) yields what
+    /// reduce_merge(root, mine, merge) would return. Unlike the handles
+    /// above, an interior tree node receives, merges and forwards from
+    /// inside wait(), so a rank must wait its reductions on its own thread
+    /// in post order: waiting a younger one first can deadlock against a
+    /// peer that is still inside an older one.
+    class PendingReduce {
+    public:
+        PendingReduce(PendingReduce&&) = default;
+        PendingReduce& operator=(PendingReduce&&) = default;
+        Buffer wait(const std::function<Buffer(Buffer, Buffer)>& merge);
+
+    private:
+        friend class Comm;
+        PendingReduce(std::shared_ptr<detail::CommGroup> group, int rank,
+                      int root, int tag, int step, Buffer acc)
+            : group_(std::move(group)), rank_(rank), root_(root), tag_(tag),
+              step_(step), acc_(std::move(acc)) {}
+        /// Runs the tree steps from step_ on. Without a merge (the post) it
+        /// stops at the first step that needs a receive.
+        void advance(const std::function<Buffer(Buffer, Buffer)>* merge);
+        std::shared_ptr<detail::CommGroup> group_;
+        int rank_, root_, tag_, step_;
+        Buffer acc_;
+    };
+
     /// Posts a broadcast from root. The root's msg is copied out to every
     /// peer mailbox before this returns; non-roots pass (and get back) their
     /// own irrelevant msg only at the root.
     PendingBcast ibcast(int root, Buffer msg);
     /// Posts an all-to-all exchange; send[i] is enqueued for rank i.
     PendingAlltoallv ialltoallv(std::vector<Buffer> send);
+    /// Posts this rank's contribution to a reduce_merge onto root. Runs the
+    /// tree steps that need no receive: a leaf forwards its buffer to its
+    /// parent before this returns. Everything else — receive, merge,
+    /// forward — happens in wait().
+    PendingReduce ireduce_merge(int root, Buffer mine);
 
     // -- collectives (must be called by every rank, in the same order) -------
 
@@ -176,7 +207,8 @@ public:
     /// Binomial-tree reduction: interior nodes combine their subtree's
     /// buffers with merge(acc, incoming); the fully merged buffer is returned
     /// at root, an empty buffer elsewhere. This is the primitive behind the
-    /// paper's custom sparse reduce-scatter (Section VI-A).
+    /// paper's custom sparse reduce-scatter (Section VI-A); it is
+    /// ireduce_merge(root, mine).wait(merge).
     Buffer reduce_merge(int root, Buffer mine,
                         const std::function<Buffer(Buffer, Buffer)>& merge);
 

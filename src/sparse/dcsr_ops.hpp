@@ -1,7 +1,8 @@
 // Element-wise and structural operations on DCSR matrices: the merge step of
-// the sparse tree reduction (Section VI-A), transposition (Section V-C), the
-// row/column block slices that feed the rectangular-grid SUMMA and slab
-// exchanges, and the value/bits splitting helpers of the Bloom machinery.
+// the sparse tree reduction (Section VI-A) and its wire form, transposition
+// (Section V-C), the row/column block slices that feed the rectangular-grid
+// SUMMA and slab exchanges, and the value/bits splitting helpers of the Bloom
+// machinery.
 #pragma once
 
 #include <algorithm>
@@ -60,6 +61,16 @@ Dcsr<V> dcsr_add(const Dcsr<V>& a, const Dcsr<V>& b, AddOp&& add) {
         }
     }
     return out;
+}
+
+/// dcsr_add on serialized blocks: the merge callback of the binomial-tree
+/// sparse reduction (par::Comm::reduce_merge / ireduce_merge).
+template <typename V, typename AddOp>
+par::Buffer dcsr_add_wire(const par::Buffer& a, const par::Buffer& b,
+                          AddOp&& add) {
+    return dcsr_add(Dcsr<V>::deserialize(a), Dcsr<V>::deserialize(b),
+                    std::forward<AddOp>(add))
+        .serialize();
 }
 
 /// Transpose via counting sort by column; O(nnz + ncols). Used to

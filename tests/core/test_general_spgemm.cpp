@@ -278,6 +278,62 @@ TEST_P(GeneralP, UpdatesOfRightOperandMatchRecompute) {
     });
 }
 
+TEST_P(GeneralP, AsyncIsBitIdenticalToSync) {
+    // Async posts the mask broadcasts ahead of the masked multiplies; both
+    // modes post every Z reduction before completing any. Same bytes, same
+    // merge order: C and F must match bit for bit.
+    const GridCase gc = GetParam();
+    run_world(gc.p(), [&](Comm& c) {
+        ProcessGrid grid = dsg::test::make_grid(c, gc);
+        std::mt19937_64 rng(911);
+        const index_t n = 26;
+        auto ta = random_triples(rng, n, n, 160, 1.0, 9.0);
+        auto tb = random_triples(rng, n, n, 160, 1.0, 9.0);
+        sparse::combine_duplicates<MinPlus<double>>(ta);
+        sparse::combine_duplicates<MinPlus<double>>(tb);
+        auto merges = random_triples(rng, n, n, 14, 20.0, 40.0);
+        sparse::combine_duplicates<MinPlus<double>>(merges);
+        std::vector<Triple<double>> deletes;
+        for (std::size_t k = 0; k < ta.size(); k += 9) deletes.push_back(ta[k]);
+        std::vector<Triple<double>> changed = merges;
+        changed.insert(changed.end(), deletes.begin(), deletes.end());
+        auto feed = [&](const std::vector<Triple<double>>& ts) {
+            return c.rank() == 0 ? ts : std::vector<Triple<double>>{};
+        };
+        const auto B =
+            build_dynamic_matrix<MinPlus<double>>(grid, n, n, feed(tb));
+        const auto Astar = build_update_matrix(grid, n, n, feed(changed));
+        const DistDcsr<double> Bstar(grid, n, n);
+
+        auto run_one = [&](par::CommMode mode) {
+            auto A =
+                build_dynamic_matrix<MinPlus<double>>(grid, n, n, feed(ta));
+            DistDynamicMatrix<double> C(grid, n, n);
+            DistDynamicMatrix<std::uint64_t> F(grid, n, n);
+            SummaOptions sopts;
+            sopts.bloom_out = &F;
+            core::summa<MinPlus<double>>(C, A, B, sopts);
+            core::DynamicSpgemmOptions dopts;
+            dopts.comm_mode = mode;
+            auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
+            core::merge_update(A, build_update_matrix(grid, n, n, feed(merges)));
+            core::mask_delete(A, build_update_matrix(grid, n, n, feed(deletes)));
+            GeneralSpgemmOptions gopts;
+            gopts.comm_mode = mode;
+            general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar, gopts);
+            std::map<std::pair<index_t, index_t>, std::uint64_t> fmap;
+            for (const auto& t : F.gather_global())
+                fmap[{t.row, t.col}] = t.value;
+            return std::pair(as_map(C.gather_global()), std::move(fmap));
+        };
+        const auto sync = run_one(par::CommMode::Sync);
+        const auto async = run_one(par::CommMode::Async);
+        EXPECT_FALSE(sync.first.empty());
+        EXPECT_EQ(sync.first, async.first);
+        EXPECT_EQ(sync.second, async.second);
+    });
+}
+
 INSTANTIATE_TEST_SUITE_P(GridShapes, GeneralP,
                          ::testing::ValuesIn(dsg::test::grid_shape_cases()),
                          dsg::test::grid_case_name);

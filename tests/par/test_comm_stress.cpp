@@ -15,6 +15,7 @@ namespace {
 
 using dsg::par::Buffer;
 using dsg::par::Comm;
+using dsg::par::CommStats;
 using dsg::par::run_world;
 
 Buffer payload(std::uint64_t value, std::size_t size) {
@@ -263,6 +264,128 @@ TEST(CommStress, OverlappingAsyncAlltoallvsAndBroadcastsMix) {
             }
         }
     });
+}
+
+// A non-commutative merge: the reduced buffer records the merge order.
+Buffer concat(Buffer a, Buffer b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+}
+
+// Contribution of `rank` to the k-th reduction: the bytes (k, rank).
+Buffer contribution(int k, int rank) {
+    return {static_cast<std::byte>(k), static_cast<std::byte>(rank)};
+}
+
+// Posted reductions, many in flight with varying roots and blocking bcasts
+// interleaved between posts (the Algorithm 2 round shape), completed in post
+// order. Interior tree nodes exist from 4 ranks on; 5 and 6 have several.
+// Result bytes — hence merge order — and the volume counters must equal
+// those of the same sequence run through blocking reduce_merge.
+TEST(CommStress, PostedReductionsMatchBlockingInOrderAndVolume) {
+    for (const int p : {3, 5, 6}) {
+        const int n = 4 * p;
+        auto root_of = [&](int k) { return (2 * k + k / p) % p; };
+        std::vector<std::vector<Buffer>> blocking(static_cast<std::size_t>(p));
+        std::vector<std::vector<Buffer>> posted(static_cast<std::size_t>(p));
+        CommStats::Snapshot s0{}, s1{}, s2{};
+        run_world(p, [&](Comm& c) {
+            auto& mine_blocking = blocking[static_cast<std::size_t>(c.rank())];
+            auto& mine_posted = posted[static_cast<std::size_t>(c.rank())];
+            auto interleaved_bcast = [&](int k) {
+                if (k % 2 != 0) return;
+                Buffer msg;
+                if (c.rank() == root_of(k)) msg = contribution(k, c.rank());
+                EXPECT_EQ(c.bcast(root_of(k), std::move(msg)),
+                          contribution(k, root_of(k)));
+            };
+            c.barrier();
+            if (c.rank() == 0) s0 = c.stats().snapshot();
+            c.barrier();
+            for (int k = 0; k < n; ++k) {
+                mine_blocking.push_back(c.reduce_merge(
+                    root_of(k), contribution(k, c.rank()), concat));
+                interleaved_bcast(k);
+            }
+            c.barrier();
+            if (c.rank() == 0) s1 = c.stats().snapshot();
+            c.barrier();
+            std::vector<Comm::PendingReduce> pending;
+            for (int k = 0; k < n; ++k) {
+                pending.push_back(
+                    c.ireduce_merge(root_of(k), contribution(k, c.rank())));
+                interleaved_bcast(k);
+            }
+            for (auto& h : pending) mine_posted.push_back(h.wait(concat));
+            c.barrier();
+            if (c.rank() == 0) s2 = c.stats().snapshot();
+        });
+        for (int r = 0; r < p; ++r) {
+            for (int k = 0; k < n; ++k) {
+                const auto& got = posted[static_cast<std::size_t>(r)]
+                                        [static_cast<std::size_t>(k)];
+                EXPECT_EQ(got, blocking[static_cast<std::size_t>(r)]
+                                       [static_cast<std::size_t>(k)])
+                    << "p=" << p << " rank " << r << " reduction " << k;
+                if (r != root_of(k)) {
+                    EXPECT_TRUE(got.empty());
+                    continue;
+                }
+                ASSERT_EQ(got.size(), static_cast<std::size_t>(2 * p));
+                std::vector<int> seen(static_cast<std::size_t>(p), 0);
+                for (std::size_t x = 0; x < got.size(); x += 2) {
+                    EXPECT_EQ(got[x], static_cast<std::byte>(k));
+                    ++seen[static_cast<std::size_t>(got[x + 1])];
+                }
+                EXPECT_EQ(seen,
+                          std::vector<int>(static_cast<std::size_t>(p), 1));
+            }
+        }
+        EXPECT_EQ(s1.reduce_bytes - s0.reduce_bytes,
+                  s2.reduce_bytes - s1.reduce_bytes);
+        EXPECT_EQ(s1.p2p_messages - s0.p2p_messages,
+                  s2.p2p_messages - s1.p2p_messages);
+        EXPECT_EQ(s1.collectives - s0.collectives,
+                  s2.collectives - s1.collectives);
+        EXPECT_GT(s1.reduce_bytes - s0.reduce_bytes, 0u);
+    }
+}
+
+// Relative rank p - 1 has no children in the binomial tree, so its post
+// forwards at once. Each peer blocks on a go signal the leaf sends only after
+// its post has returned, so the post cannot have waited on a peer, and the
+// world's counters move during the post only by the leaf's own forward.
+TEST(CommStress, LeafPostReturnsBeforeAnyPeerPosts) {
+    constexpr int kGo = 3;
+    for (const int p : {3, 5, 6}) {
+        run_world(p, [&](Comm& c) {
+            for (int root = 0; root < p; ++root) {
+                const int leaf = (root + p - 1) % p;
+                Buffer mine = contribution(root, c.rank());
+                c.barrier();  // the previous root's traffic has all landed
+                if (c.rank() == leaf) {
+                    const auto before = c.stats().snapshot();
+                    auto pending = c.ireduce_merge(root, std::move(mine));
+                    const auto after = c.stats().snapshot();
+                    EXPECT_EQ(after.p2p_messages - before.p2p_messages, 1u);
+                    EXPECT_EQ(after.reduce_bytes - before.reduce_bytes, 2u);
+                    for (int d = 0; d < p; ++d)
+                        if (d != leaf) c.send(d, kGo, Buffer{});
+                    EXPECT_TRUE(pending.wait(concat).empty());
+                    continue;
+                }
+                (void)c.recv(leaf, kGo);
+                Buffer out =
+                    c.ireduce_merge(root, std::move(mine)).wait(concat);
+                if (c.rank() != root) continue;
+                ASSERT_EQ(out.size(), static_cast<std::size_t>(2 * p));
+                bool has_leaf = false;
+                for (std::size_t x = 1; x < out.size(); x += 2)
+                    has_leaf |= out[x] == static_cast<std::byte>(leaf);
+                EXPECT_TRUE(has_leaf);
+            }
+        });
+    }
 }
 
 TEST(CommStress, RepeatedWorldsDoNotLeakState) {

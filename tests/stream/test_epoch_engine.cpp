@@ -366,10 +366,12 @@ TEST_P(EpochEngineG, OverlapPersistMatchesInlineWal) {
             std::mt19937_64 rng(7'000 + static_cast<std::uint64_t>(r));
             // Feed in chunks with a pump between them: the queue drains
             // whole, so several WAL points only happen across several pumps.
+            // Rows r + p*t stay distinct per rank and below n on every
+            // grid size.
+            const auto p = static_cast<index_t>(gc.p());
             for (index_t chunk = 0; chunk < 6; ++chunk) {
                 for (index_t k = 0; k < 50; ++k) {
-                    const index_t row =
-                        r + static_cast<index_t>(gc.p()) * (k % 16);
+                    const index_t row = r + p * (k % (n / p));
                     ASSERT_TRUE(q.push(
                         {OpKind::Add,
                          {row, static_cast<index_t>(rng() % 96),
