@@ -6,6 +6,9 @@
 // (smallest); CTF >= 55.15x slower, PETSc >= 460.83x slower. The speedup
 // *decreases* with batch size because the competitors' full rebuild
 // amortizes better over denser update matrices.
+#include <array>
+#include <functional>
+
 #include "baseline/static_rebuild.hpp"
 #include "bench_common.hpp"
 
@@ -20,22 +23,18 @@ constexpr int kBatches = 4;
 // shifts the sweep window down by ~2^5).
 const std::size_t kBatchSizes[] = {256, 512, 1024, 2048, 4096, 8192};
 
-struct Times {
-    double ours = 0, ours_async = 0, combblas = 0, ctf = 0, petsc = 0;
-};
+// Our path and the three competitors, in table order.
+constexpr int kImpls = 4;
+using Times = std::array<double, kImpls>;
 
 Times run_one(const Instance& inst, std::size_t batch_size) {
-    Times t;
+    Times t{};
     par::run_world(kRanks, [&](par::Comm& comm) {
         core::ProcessGrid grid(comm);
         const index_t n = index_t{1} << inst.scale;
         EdgeStream stream(instance_edges(inst, comm.rank(), kRanks, 21));
 
-        // Two copies of our matrix so the sync and async comm paths apply the
-        // identical batch stream to identical state.
         auto A = core::build_dynamic_matrix<sparse::PlusTimes<double>>(
-            grid, n, n, stream.initial);
-        auto A_async = core::build_dynamic_matrix<sparse::PlusTimes<double>>(
             grid, n, n, stream.initial);
         baseline::StaticRebuildMatrix<double> combblas(grid, n, n);
         combblas.construct<sparse::PlusTimes<double>>(stream.initial);
@@ -44,32 +43,29 @@ Times run_one(const Instance& inst, std::size_t batch_size) {
         baseline::PreallocCsrMatrix<double> petsc(grid, n, n);
         petsc.construct<sparse::PlusTimes<double>>(stream.initial);
 
-        double ours = 0, ours_async = 0, cb = 0, ct = 0, pe = 0;
+        Times sum{};
         for (int b = 0; b < kBatches; ++b) {
-            auto batch = stream.batch(static_cast<std::size_t>(b), batch_size);
-            ours += timed_ms(comm, [&] {
-                auto U = core::build_update_matrix(grid, n, n, batch);
-                core::add_update<sparse::PlusTimes<double>>(A, U);
-            });
-            ours_async += timed_ms(comm, [&] {
-                auto U = core::build_update_matrix(
-                    grid, n, n, batch, core::RedistMode::TwoPhase,
-                    par::CommMode::Async);
-                core::add_update<sparse::PlusTimes<double>>(A_async, U);
-            });
-            cb += timed_ms(comm, [&] {
-                combblas.insert_batch<sparse::PlusTimes<double>>(batch);
-            });
-            ct += timed_ms(comm, [&] {
-                ctf.insert_batch<sparse::PlusTimes<double>>(batch);
-            });
-            pe += timed_ms(comm, [&] {
-                petsc.insert_batch<sparse::PlusTimes<double>>(batch);
-            });
+            const auto batch =
+                stream.batch(static_cast<std::size_t>(b), batch_size);
+            const std::array<std::function<void()>, kImpls> insert = {
+                [&] {
+                    auto U = core::build_update_matrix(grid, n, n, batch);
+                    core::add_update<sparse::PlusTimes<double>>(A, U);
+                },
+                [&] { combblas.insert_batch<sparse::PlusTimes<double>>(batch); },
+                [&] { ctf.insert_batch<sparse::PlusTimes<double>>(batch); },
+                [&] { petsc.insert_batch<sparse::PlusTimes<double>>(batch); },
+            };
+            // Rotate which implementation meets the fresh batch first, so
+            // no column always pays (or is spared) the cold-cache run.
+            for (int k = 0; k < kImpls; ++k) {
+                const auto impl = static_cast<std::size_t>((b + k) % kImpls);
+                sum[impl] += timed_ms(comm, insert[impl]);
+            }
         }
         if (comm.rank() == 0)
-            t = {ours / kBatches, ours_async / kBatches, cb / kBatches,
-                 ct / kBatches, pe / kBatches};
+            for (std::size_t k = 0; k < sum.size(); ++k)
+                t[k] = sum[k] / kBatches;
     });
     return t;
 }
@@ -79,58 +75,29 @@ Times run_one(const Instance& inst, std::size_t batch_size) {
 int main() {
     print_header("Figure 4: mean insertion time vs batch size (per rank)",
                  "Fig. 4");
-    std::printf("%-10s | %9s %9s %9s %9s %9s | %9s %7s %7s\n", "batch",
-                "ours", "async", "CombBLAS", "CTF", "PETSc", "vs CombB",
-                "vs CTF", "vs PETSc");
-    double gain_sum = 0;
-    int gain_count = 0;
+    std::printf("%-10s | %9s %9s %9s %9s | %9s %7s %7s\n", "batch", "ours",
+                "CombBLAS", "CTF", "PETSc", "vs CombB", "vs CTF", "vs PETSc");
     for (std::size_t bs : kBatchSizes) {
-        Times mean;
+        Times mean{};
         int count = 0;
         for (const auto& inst : representative_instances()) {
             const Times t = run_one(inst, bs);
-            mean.ours += t.ours;
-            mean.ours_async += t.ours_async;
-            mean.combblas += t.combblas;
-            mean.ctf += t.ctf;
-            mean.petsc += t.petsc;
+            for (std::size_t k = 0; k < mean.size(); ++k) mean[k] += t[k];
             ++count;
         }
-        mean.ours /= count;
-        mean.ours_async /= count;
-        mean.combblas /= count;
-        mean.ctf /= count;
-        mean.petsc /= count;
-        if (mean.ours_async > 0) {
-            gain_sum += mean.ours / mean.ours_async;
-            ++gain_count;
-        }
+        for (auto& m : mean) m /= count;
+        const auto [ours, cb, ct, pe] = mean;
         std::printf(
-            "%-10zu | %7.2fms %7.2fms %7.2fms %7.2fms %7.2fms | %8.1fx %6.1fx %6.1fx\n",
-            bs, mean.ours, mean.ours_async, mean.combblas, mean.ctf,
-            mean.petsc, mean.combblas / mean.ours, mean.ctf / mean.ours,
-            mean.petsc / mean.ours);
-        // One record per comm mode so downstream tooling can group by the
-        // comm_mode field; the baselines ride on the sync record.
+            "%-10zu | %7.2fms %7.2fms %7.2fms %7.2fms | %8.1fx %6.1fx %6.1fx\n",
+            bs, ours, cb, ct, pe, cb / ours, ct / ours, pe / ours);
         JsonRecord rec("bench_fig4_insertions");
         rec.field("batch", bs)
-            .field("comm_mode", "sync")
-            .field("ours_ms", mean.ours)
-            .field("combblas_ms", mean.combblas)
-            .field("ctf_ms", mean.ctf)
-            .field("petsc_ms", mean.petsc);
+            .field("ours_ms", ours)
+            .field("combblas_ms", cb)
+            .field("ctf_ms", ct)
+            .field("petsc_ms", pe);
         json_record(rec);
-        JsonRecord arec("bench_fig4_insertions");
-        arec.field("batch", bs)
-            .field("comm_mode", "async")
-            .field("ours_ms", mean.ours_async);
-        json_record(arec);
     }
-    if (gain_count > 0)
-        std::printf(
-            "\noverlap gain: async redistribution is %.2fx sync on average "
-            "over %d batch sizes\n",
-            gain_sum / gain_count, gain_count);
     std::printf(
         "\npaper: speedup over CombBLAS falls from 227.68x (batch 1024) to\n"
         "3.63x (batch 131072); the same monotone decrease should appear above\n"

@@ -40,12 +40,7 @@ struct Cell {
     std::size_t final_nnz = 0;
 };
 
-const char* comm_mode_name(par::CommMode mode) {
-    return mode == par::CommMode::Async ? "async" : "sync";
-}
-
-Cell run_cell(stream::Scenario scenario, std::size_t epoch_batch,
-              par::CommMode comm_mode) {
+Cell run_cell(stream::Scenario scenario, std::size_t epoch_batch) {
     Cell cell;
     par::run_world(kRanks, [&](par::Comm& comm) {
         core::ProcessGrid grid(comm);
@@ -67,7 +62,6 @@ Cell run_cell(stream::Scenario scenario, std::size_t epoch_batch,
         stream::EngineConfig cfg;
         cfg.epoch_batch = epoch_batch;
         cfg.epoch_deadline = std::chrono::milliseconds(10);
-        cfg.comm_mode = comm_mode;
         Engine engine(A, cfg);
         for (int prod = 0; prod < kProducers; ++prod)
             engine.queue().register_producer();
@@ -121,61 +115,41 @@ int main() {
     std::printf(
         "%d ranks, %d producers/rank, %zu writes/producer, scale %d\n\n",
         kRanks, kProducers, writes_per_producer(), kScale);
-    std::printf("%-22s %8s %6s %10s %7s %9s %9s %9s\n", "scenario", "batch",
-                "comm", "ops/s", "epochs", "epoch ms", "worst ms", "backlog");
+    std::printf("%-22s %8s %10s %7s %9s %9s %9s\n", "scenario", "batch",
+                "ops/s", "epochs", "epoch ms", "worst ms", "backlog");
 
-    // Per-cell sync/async pairs feed the overlap-gain report at the end.
-    double gain_sum = 0;
-    int gain_count = 0;
     for (auto scenario : stream::all_scenarios()) {
         for (std::size_t epoch_batch : {std::size_t{512}, std::size_t{4096}}) {
-            double sync_ops = 0;
-            for (auto mode : {par::CommMode::Sync, par::CommMode::Async}) {
-                const Cell cell = run_cell(scenario, epoch_batch, mode);
-                std::printf("%-22s %8zu %6s %10.0f %7llu %9.2f %9.2f %9zu\n",
-                            stream::scenario_name(scenario), epoch_batch,
-                            comm_mode_name(mode), cell.ops_per_s,
-                            static_cast<unsigned long long>(cell.epochs),
-                            cell.mean_epoch_ms, cell.worst_epoch_ms,
-                            cell.worst_backlog);
-                if (mode == par::CommMode::Sync) {
-                    sync_ops = cell.ops_per_s;
-                } else if (sync_ops > 0) {
-                    gain_sum += cell.ops_per_s / sync_ops;
-                    ++gain_count;
-                }
+            const Cell cell = run_cell(scenario, epoch_batch);
+            std::printf("%-22s %8zu %10.0f %7llu %9.2f %9.2f %9zu\n",
+                        stream::scenario_name(scenario), epoch_batch,
+                        cell.ops_per_s,
+                        static_cast<unsigned long long>(cell.epochs),
+                        cell.mean_epoch_ms, cell.worst_epoch_ms,
+                        cell.worst_backlog);
 
-                JsonRecord rec("bench_stream_throughput");
-                rec.field("scenario", stream::scenario_name(scenario))
-                    .field("ranks", kRanks)
-                    .field("producers_per_rank", kProducers)
-                    .field("writes_per_producer", writes_per_producer())
-                    .field("epoch_batch", epoch_batch)
-                    .field("comm_mode", comm_mode_name(mode))
-                    .field("elapsed_ms", cell.elapsed_ms)
-                    .field("ops_per_s", cell.ops_per_s)
-                    .field("epochs", cell.epochs)
-                    .field("mean_epoch_ms", cell.mean_epoch_ms)
-                    .field("worst_epoch_ms", cell.worst_epoch_ms)
-                    .field("worst_backlog", cell.worst_backlog)
-                    .field("final_nnz", cell.final_nnz);
-                json_record(rec);
-            }
+            JsonRecord rec("bench_stream_throughput");
+            rec.field("scenario", stream::scenario_name(scenario))
+                .field("ranks", kRanks)
+                .field("producers_per_rank", kProducers)
+                .field("writes_per_producer", writes_per_producer())
+                .field("epoch_batch", epoch_batch)
+                .field("elapsed_ms", cell.elapsed_ms)
+                .field("ops_per_s", cell.ops_per_s)
+                .field("epochs", cell.epochs)
+                .field("mean_epoch_ms", cell.mean_epoch_ms)
+                .field("worst_epoch_ms", cell.worst_epoch_ms)
+                .field("worst_backlog", cell.worst_backlog)
+                .field("final_nnz", cell.final_nnz);
+            json_record(rec);
         }
     }
-    if (gain_count > 0)
-        std::printf(
-            "\noverlap gain: async throughput is %.2fx sync on average over "
-            "%d cells\n(>1 means posting stage k+1's exchange while applying "
-            "stage k pays off)\n",
-            gain_sum / gain_count, gain_count);
 
     // -----------------------------------------------------------------------
     // Metrics overhead gate: one representative cell, instruments recording
     // vs runtime-disabled (every record path reduced to a single relaxed
     // load — the same contrast the -DDSG_OBS_NOOP compile-out build gives,
-    // without needing a second binary). Reported in the same paired style as
-    // the sync/async column above; the budget is 2%.
+    // without needing a second binary). The budget is 2%.
     {
         const auto scenario = stream::Scenario::SustainedUniform;
         constexpr std::size_t kGateBatch = 4096;
@@ -183,20 +157,17 @@ int main() {
             obs::set_enabled(instruments_on);
             double best = 0;
             for (int rep = 0; rep < 3; ++rep)
-                best = std::max(
-                    best,
-                    run_cell(scenario, kGateBatch, par::CommMode::Sync)
-                        .ops_per_s);
+                best = std::max(best, run_cell(scenario, kGateBatch).ops_per_s);
             obs::set_enabled(true);
             return best;
         };
-        (void)run_cell(scenario, kGateBatch, par::CommMode::Sync);  // warm-up
+        (void)run_cell(scenario, kGateBatch);  // warm-up
         const double ops_off = best_ops(false);
         const double ops_on = best_ops(true);
         const double ratio = ops_off > 0 ? ops_on / ops_off : 1.0;
         const bool within = ratio >= 0.98;
         std::printf(
-            "\nmetrics overhead gate (%s, batch %zu, sync, best of 3)%s:\n",
+            "\nmetrics overhead gate (%s, batch %zu, best of 3)%s:\n",
             stream::scenario_name(scenario), kGateBatch,
             obs::compiled_noop() ? " [DSG_OBS_NOOP build]" : "");
         std::printf("%-22s %10s\n", "instruments", "ops/s");
@@ -227,10 +198,7 @@ int main() {
         const auto best_of_3 = [&] {
             double best = 0;
             for (int rep = 0; rep < 3; ++rep)
-                best = std::max(
-                    best,
-                    run_cell(scenario, kGateBatch, par::CommMode::Sync)
-                        .ops_per_s);
+                best = std::max(best, run_cell(scenario, kGateBatch).ops_per_s);
             return best;
         };
         const double ops_quiet = best_of_3();
@@ -254,7 +222,7 @@ int main() {
         const double ratio = ops_quiet > 0 ? ops_scraped / ops_quiet : 1.0;
         const bool within = ratio >= 0.98;
         std::printf(
-            "\nscrape overhead gate (%s, batch %zu, sync, best of 3, "
+            "\nscrape overhead gate (%s, batch %zu, best of 3, "
             "10 Hz GET /metrics):\n",
             stream::scenario_name(scenario), kGateBatch);
         std::printf("%-22s %10s\n", "scraper", "ops/s");

@@ -52,9 +52,6 @@ namespace dsg::core {
 
 struct DynamicSpgemmOptions {
     par::ThreadPool* pool = nullptr;
-    /// Async posts the two slab-exchange alltoallvs together so they overlap
-    /// each other in flight. Bit-identical results either way.
-    par::CommMode comm_mode = par::CommMode::Sync;
 };
 
 namespace detail {
@@ -102,8 +99,7 @@ template <typename T, typename V, typename MultX, typename MultY,
 void algebraic_rounds(ProcessGrid& grid, const DistDcsr<T>& Astar,
                       const DistDcsr<T>& Bstar, MultX&& mult_x,
                       MultY&& mult_y, AddV&& add_v, AbsorbX&& absorb_x,
-                      AbsorbY&& absorb_y,
-                      par::CommMode comm_mode = par::CommMode::Sync) {
+                      AbsorbY&& absorb_y) {
     using par::Phase;
     using par::Profiler;
     const int rows = grid.rows();
@@ -137,18 +133,8 @@ void algebraic_rounds(ProcessGrid& grid, const DistDcsr<T>& Astar,
             atrip, rows, [&](const Triple<T>& t) { return kr.owner(t.col); });
         auto bsend = bucket_triples(
             btrip, cols, [&](const Triple<T>& t) { return kc.owner(t.row); });
-        std::vector<par::Buffer> arecv;
-        std::vector<par::Buffer> brecv;
-        if (comm_mode == par::CommMode::Async) {
-            // Both exchanges in flight at once — the overlap of this path.
-            auto pa = grid.col_comm().ialltoallv(std::move(asend));
-            auto pb = grid.row_comm().ialltoallv(std::move(bsend));
-            arecv = pa.wait();
-            brecv = pb.wait();
-        } else {
-            arecv = grid.col_comm().alltoallv(std::move(asend));
-            brecv = grid.row_comm().alltoallv(std::move(bsend));
-        }
+        auto arecv = grid.col_comm().alltoallv(std::move(asend));
+        auto brecv = grid.row_comm().alltoallv(std::move(bsend));
         atrip.clear();
         for (const auto& buf : arecv) unpack_triples(buf, atrip);
         btrip.clear();
@@ -271,8 +257,7 @@ void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
                                       sparse::as_left(A.local()),
                                       sparse::as_right(b_slice), sopts);
         },
-        [](const T& a, const T& b) { return SR::add(a, b); }, absorb, absorb,
-        opts.comm_mode);
+        [](const T& a, const T& b) { return SR::add(a, b); }, absorb, absorb);
 }
 
 /// Algorithm 1 with a transposed left operand (Section V-C):
@@ -609,7 +594,7 @@ DistDynamicMatrix<std::uint64_t> compute_pattern(
                                           sparse::as_left(A.local()),
                                           sparse::as_right(b_slice), sopts);
         },
-        bits_or, absorb, absorb, opts.comm_mode);
+        bits_or, absorb, absorb);
     return cstar;
 }
 

@@ -18,11 +18,6 @@
 // B-rows broadcasts along the grid column, and every rank multiplies
 // locally; aggregation is entirely local, but *all* non-zeros of A and B
 // travel, which is exactly the cost the dynamic algorithms avoid.
-//
-// With SummaOptions::comm_mode == Async the two broadcasts of stage k+1 are
-// posted before stage k's local multiply starts (DistEmbed-style pipelining),
-// so communication overlaps compute. The bytes and the reduction order are
-// identical to sync mode — results are bit-identical.
 #pragma once
 
 #include <algorithm>
@@ -44,9 +39,6 @@ struct SummaOptions {
     /// When set, only entries present in the mask's local blocks are
     /// produced (masked SpGEMM).
     const sparse::PairSet* local_mask = nullptr;
-    /// Sync: broadcast-then-multiply per stage. Async: stage k+1's
-    /// broadcasts are posted before stage k's multiply (overlap).
-    par::CommMode comm_mode = par::CommMode::Sync;
 };
 
 namespace detail {
@@ -99,51 +91,27 @@ void summa(DistDynamicMatrix<T>& C, const DistDynamicMatrix<T>& A,
     const Dcsr<T> a_loc = A.local().to_dcsr();
     const Dcsr<T> b_loc = B.local().to_dcsr();
 
-    // Serializes this rank's slices for one stage (empty buffers on
-    // non-roots, which the broadcasts ignore).
-    auto slices = [&](const detail::SummaStage& st) {
-        Profiler::Scope scope(Phase::LocalConstruct);
-        std::pair<par::Buffer, par::Buffer> out;
-        if (j == st.a_root)
-            out.first = sparse::dcsr_col_block(a_loc,
-                                               st.lo - kc.offset(st.a_root),
-                                               st.hi - kc.offset(st.a_root))
-                            .serialize();
-        if (i == st.b_root)
-            out.second = sparse::dcsr_row_block(b_loc,
-                                                st.lo - kr.offset(st.b_root),
-                                                st.hi - kr.offset(st.b_root))
-                             .serialize();
-        return out;
-    };
-
-    const bool async = opts.comm_mode == par::CommMode::Async;
-    using Posted =
-        std::pair<par::Comm::PendingBcast, par::Comm::PendingBcast>;
-    auto post = [&](const detail::SummaStage& st) {
-        auto [abuf, bbuf] = slices(st);
-        Profiler::Scope scope(Phase::Bcast);
-        return Posted{grid.row_comm().ibcast(st.a_root, std::move(abuf)),
-                      grid.col_comm().ibcast(st.b_root, std::move(bbuf))};
-    };
-    std::vector<Posted> inflight;  // at most one outstanding stage
-    if (async && !stages.empty()) inflight.push_back(post(stages[0]));
-
-    for (std::size_t k = 0; k < stages.size(); ++k) {
-        const auto& st = stages[k];
+    for (const auto& st : stages) {
+        // Roots serialize their slice; the broadcasts ignore the empty
+        // buffers of non-roots.
+        par::Buffer abuf;
+        par::Buffer bbuf;
+        {
+            Profiler::Scope scope(Phase::LocalConstruct);
+            if (j == st.a_root)
+                abuf = sparse::dcsr_col_block(a_loc,
+                                              st.lo - kc.offset(st.a_root),
+                                              st.hi - kc.offset(st.a_root))
+                           .serialize();
+            if (i == st.b_root)
+                bbuf = sparse::dcsr_row_block(b_loc,
+                                              st.lo - kr.offset(st.b_root),
+                                              st.hi - kr.offset(st.b_root))
+                           .serialize();
+        }
         Dcsr<T> a_ik;
         Dcsr<T> b_kj;
-        if (async) {
-            {
-                Profiler::Scope scope(Phase::Bcast);
-                a_ik = Dcsr<T>::deserialize(inflight.back().first.wait());
-                b_kj = Dcsr<T>::deserialize(inflight.back().second.wait());
-                inflight.pop_back();
-            }
-            // Overlap: next stage's broadcasts ride under this multiply.
-            if (k + 1 < stages.size()) inflight.push_back(post(stages[k + 1]));
-        } else {
-            auto [abuf, bbuf] = slices(st);
+        {
             Profiler::Scope scope(Phase::Bcast);
             a_ik = Dcsr<T>::deserialize(
                 grid.row_comm().bcast(st.a_root, std::move(abuf)));

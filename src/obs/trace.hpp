@@ -10,9 +10,9 @@
 // FlowDir::Start/Finish span pairs become flow events (ph "s"/"f") — one
 // pair per consuming query span, each with a unique id — so Perfetto draws
 // an arrow from the publish span that produced a snapshot to every query
-// answered from it. Loading a --trace-out file makes the async overlap
-// windows (stage k+1 bcast under stage k multiply, WAL-overlapped drains)
-// directly visible as parallel tracks.
+// answered from it. Loading a --trace-out file makes overlap windows (posted
+// reductions under the next multiply, WAL-overlapped drains) directly
+// visible as parallel tracks.
 //
 // scripts/check-trace.py validates this format in CI.
 #pragma once

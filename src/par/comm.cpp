@@ -150,13 +150,6 @@ public:
         return kUserTagLimit + static_cast<int>(seq % (1u << 10));
     }
 
-    /// Internal tag for the seq-th async post. Disjoint from coll_tag's range
-    /// and wide enough that outstanding posts never collide (a post/wait pair
-    /// would need 2^20 younger siblings in flight to wrap).
-    static int async_tag(std::uint32_t seq) {
-        return kUserTagLimit + (1 << 10) + static_cast<int>(seq % (1u << 20));
-    }
-
     /// Publish-and-exchange slot area; protocol: write slot, barrier, read
     /// peers' slots, barrier.
     const void*& slot(int rank) { return slots_[static_cast<std::size_t>(rank)]; }
@@ -273,77 +266,6 @@ void Comm::barrier() {
     group_->barrier_wait();
 }
 
-// -- non-blocking collectives -------------------------------------------------
-//
-// Both posts push the payload straight into peer mailboxes (deliver never
-// blocks), so a post completes locally regardless of where the peers are;
-// wait() then drains the mailbox with the same (source, tag) matching as
-// point-to-point traffic. The per-rank lockstep sequence number guarantees
-// the n-th post on every rank carries the same tag, whatever else is in
-// flight.
-
-Comm::PendingBcast Comm::ibcast(int root, Buffer msg) {
-    auto& g = *group_;
-    g.stats().collectives.fetch_add(1, std::memory_order_relaxed);
-    g.stats().async_posted.fetch_add(1, std::memory_order_relaxed);
-    const int tag = detail::CommGroup::async_tag(g.next_seq(rank_));
-    g.check_abort();
-    if (rank_ == root) {
-        for (int dst = 0; dst < g.size(); ++dst) {
-            if (dst == root) continue;
-            g.deliver(rank_, dst, tag, msg);
-        }
-    }
-    return PendingBcast(group_, rank_, root, tag, std::move(msg));
-}
-
-Buffer Comm::PendingBcast::wait() {
-    auto& g = *group_;
-    Buffer out;
-    if (rank_ == root_) {
-        g.check_abort();
-        out = std::move(own_);
-    } else {
-        out = g.take(rank_, root_, tag_);
-        g.stats().bcast_bytes.fetch_add(out.size(), std::memory_order_relaxed);
-    }
-    g.stats().async_completed.fetch_add(1, std::memory_order_relaxed);
-    return out;
-}
-
-Comm::PendingAlltoallv Comm::ialltoallv(std::vector<Buffer> send) {
-    auto& g = *group_;
-    const int p = g.size();
-    if (static_cast<int>(send.size()) != p)
-        throw std::invalid_argument("ialltoallv: send.size() != comm size");
-    g.stats().collectives.fetch_add(1, std::memory_order_relaxed);
-    g.stats().async_posted.fetch_add(1, std::memory_order_relaxed);
-    const int tag = detail::CommGroup::async_tag(g.next_seq(rank_));
-    g.check_abort();
-    for (int dst = 0; dst < p; ++dst) {
-        if (dst == rank_) continue;
-        g.deliver(rank_, dst, tag,
-                  std::move(send[static_cast<std::size_t>(dst)]));
-    }
-    return PendingAlltoallv(group_, rank_, tag,
-                            std::move(send[static_cast<std::size_t>(rank_)]));
-}
-
-std::vector<Buffer> Comm::PendingAlltoallv::wait() {
-    auto& g = *group_;
-    std::vector<Buffer> out(static_cast<std::size_t>(g.size()));
-    std::uint64_t bytes = 0;
-    for (int s = 0; s < g.size(); ++s) {
-        if (s == rank_) continue;
-        out[static_cast<std::size_t>(s)] = g.take(rank_, s, tag_);
-        bytes += out[static_cast<std::size_t>(s)].size();
-    }
-    g.stats().alltoall_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    out[static_cast<std::size_t>(rank_)] = std::move(own_);
-    g.stats().async_completed.fetch_add(1, std::memory_order_relaxed);
-    return out;
-}
-
 Buffer Comm::bcast(int root, Buffer msg) {
     auto& g = *group_;
     g.stats().collectives.fetch_add(1, std::memory_order_relaxed);
@@ -440,6 +362,7 @@ std::vector<Buffer> Comm::allgather(Buffer msg) {
 Comm::PendingReduce Comm::ireduce_merge(int root, Buffer mine) {
     auto& g = *group_;
     g.stats().collectives.fetch_add(1, std::memory_order_relaxed);
+    g.stats().async_posted.fetch_add(1, std::memory_order_relaxed);
     const int tag = detail::CommGroup::coll_tag(g.next_seq(rank_));
     g.check_abort();
     PendingReduce pending(group_, rank_, root, tag, 1, std::move(mine));
@@ -474,6 +397,7 @@ void Comm::PendingReduce::advance(
 Buffer Comm::PendingReduce::wait(
     const std::function<Buffer(Buffer, Buffer)>& merge) {
     advance(&merge);
+    group_->stats().async_completed.fetch_add(1, std::memory_order_relaxed);
     if (rank_ != root_) return {};
     return std::move(acc_);
 }

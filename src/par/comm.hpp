@@ -47,12 +47,6 @@ public:
 /// Larger tags are reserved for internal collective traffic.
 inline constexpr int kUserTagLimit = 1 << 20;
 
-/// Whether a communication stage runs its collectives synchronously or as
-/// post/wait halves that overlap the next local compute phase. Async mode
-/// moves bit-identical bytes over the same reduction trees — only the
-/// schedule changes, never the result.
-enum class CommMode { Sync, Async };
-
 /// Communication-volume counters shared by a world and all communicators
 /// split from it. Byte counts only include data that crosses rank boundaries
 /// (rank-local copies are free on a real machine as well, via shared memory).
@@ -65,8 +59,8 @@ struct CommStats {
     std::atomic<std::uint64_t> gather_bytes{0};
     std::atomic<std::uint64_t> barriers{0};
     std::atomic<std::uint64_t> collectives{0};
-    std::atomic<std::uint64_t> async_posted{0};     ///< ibcast/ialltoallv posts
-    std::atomic<std::uint64_t> async_completed{0};  ///< matching wait()s
+    std::atomic<std::uint64_t> async_posted{0};     ///< reductions posted
+    std::atomic<std::uint64_t> async_completed{0};  ///< reductions waited
 
     /// Plain-value copy of the counters, for reporting.
     struct Snapshot {
@@ -108,58 +102,18 @@ public:
     /// Safe regardless of ordering; peer == rank() returns msg unchanged.
     Buffer sendrecv(int peer, int tag, Buffer msg);
 
-    // -- non-blocking collectives -------------------------------------------
+    // -- posted reduction ----------------------------------------------------
     //
-    // Post/wait halves of bcast, alltoallv and reduce_merge. A post enqueues
-    // the payload into peers' mailboxes immediately and returns a handle; the
-    // matching wait() blocks until the peer payloads have arrived. Posts
-    // count as collectives and must be issued by every rank in the same order
-    // (like the blocking forms), but any number may be outstanding, and ranks
-    // may interleave local compute between post and wait — that is the
-    // overlap. wait() must be called exactly once.
-
-    /// In-flight ibcast; wait() yields what bcast(root, msg) would return.
-    class PendingBcast {
-    public:
-        PendingBcast(PendingBcast&&) = default;
-        PendingBcast& operator=(PendingBcast&&) = default;
-        Buffer wait();
-
-    private:
-        friend class Comm;
-        PendingBcast(std::shared_ptr<detail::CommGroup> group, int rank,
-                     int root, int tag, Buffer own)
-            : group_(std::move(group)), rank_(rank), root_(root), tag_(tag),
-              own_(std::move(own)) {}
-        std::shared_ptr<detail::CommGroup> group_;
-        int rank_, root_, tag_;
-        Buffer own_;
-    };
-
-    /// In-flight ialltoallv; wait() yields what alltoallv(send) would return.
-    class PendingAlltoallv {
-    public:
-        PendingAlltoallv(PendingAlltoallv&&) = default;
-        PendingAlltoallv& operator=(PendingAlltoallv&&) = default;
-        std::vector<Buffer> wait();
-
-    private:
-        friend class Comm;
-        PendingAlltoallv(std::shared_ptr<detail::CommGroup> group, int rank,
-                         int tag, Buffer own)
-            : group_(std::move(group)), rank_(rank), tag_(tag),
-              own_(std::move(own)) {}
-        std::shared_ptr<detail::CommGroup> group_;
-        int rank_, tag_;
-        Buffer own_;
-    };
+    // Post/wait halves of reduce_merge. Posts count as collectives and must
+    // be issued by every rank in the same order (like the blocking forms),
+    // but any number may be outstanding, and ranks may interleave local
+    // compute between post and wait. wait() must be called exactly once.
 
     /// In-flight ireduce_merge; wait(merge) yields what
-    /// reduce_merge(root, mine, merge) would return. Unlike the handles
-    /// above, an interior tree node receives, merges and forwards from
-    /// inside wait(), so a rank must wait its reductions on its own thread
-    /// in post order: waiting a younger one first can deadlock against a
-    /// peer that is still inside an older one.
+    /// reduce_merge(root, mine, merge) would return. An interior tree node
+    /// receives, merges and forwards from inside wait(), so a rank must wait
+    /// its reductions on its own thread in post order: waiting a younger one
+    /// first can deadlock against a peer that is still inside an older one.
     class PendingReduce {
     public:
         PendingReduce(PendingReduce&&) = default;
@@ -180,12 +134,6 @@ public:
         Buffer acc_;
     };
 
-    /// Posts a broadcast from root. The root's msg is copied out to every
-    /// peer mailbox before this returns; non-roots pass (and get back) their
-    /// own irrelevant msg only at the root.
-    PendingBcast ibcast(int root, Buffer msg);
-    /// Posts an all-to-all exchange; send[i] is enqueued for rank i.
-    PendingAlltoallv ialltoallv(std::vector<Buffer> send);
     /// Posts this rank's contribution to a reduce_merge onto root. Runs the
     /// tree steps that need no receive: a leaf forwards its buffer to its
     /// parent before this returns. Everything else — receive, merge,

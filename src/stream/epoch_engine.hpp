@@ -67,9 +67,6 @@ struct EngineConfig {
     /// ...or time elapsed since the previous epoch, whichever comes first.
     std::chrono::milliseconds epoch_deadline{20};
     core::RedistMode redist = core::RedistMode::TwoPhase;
-    /// Comm mode for the epoch's A* builds (sync collectives or the
-    /// post/wait path). Results are bit-identical either way.
-    par::CommMode comm_mode = par::CommMode::Sync;
     /// When true the WAL hook runs on a background thread that is joined
     /// before the NEXT epoch's write-ahead point, so the log write of epoch
     /// N overlaps N's apply and N+1's drain. This trades the strict
@@ -351,20 +348,17 @@ public:
                 const index_t nc = A_->shape().ncols();
                 if (g.adds > 0) {
                     auto ua = core::build_update_matrix(
-                        grid, nr, nc, std::move(apply_adds), cfg_.redist,
-                        cfg_.comm_mode);
+                        grid, nr, nc, std::move(apply_adds), cfg_.redist);
                     core::add_update<SR>(*A_, ua, cfg_.pool);
                 }
                 if (g.merges > 0) {
                     auto um = core::build_update_matrix(
-                        grid, nr, nc, std::move(apply_merges), cfg_.redist,
-                        cfg_.comm_mode);
+                        grid, nr, nc, std::move(apply_merges), cfg_.redist);
                     core::merge_update(*A_, um, cfg_.pool);
                 }
                 if (g.masks > 0) {
                     auto ud = core::build_update_matrix(
-                        grid, nr, nc, std::move(apply_masks), cfg_.redist,
-                        cfg_.comm_mode);
+                        grid, nr, nc, std::move(apply_masks), cfg_.redist);
                     core::mask_delete(*A_, ud, cfg_.pool);
                 }
                 ++version_;

@@ -44,8 +44,6 @@ template <typename SR>
 void run_general_rounds(Comm& c, const GridCase& gc, std::uint64_t seed,
                         int rounds, bool use_bloom) {
     ProcessGrid grid = dsg::test::make_grid(c, gc);
-    core::DynamicSpgemmOptions dopts;
-    dopts.comm_mode = gc.comm_mode;
     std::mt19937_64 rng(seed);
     const index_t n = 20;
     auto ta = random_triples(rng, n, n, 110, 1.0, 9.0);
@@ -84,7 +82,7 @@ void run_general_rounds(Comm& c, const GridCase& gc, std::uint64_t seed,
         DistDcsr<double> Bstar(grid, n, n);
 
         // Pattern first (uses pre-update A), then apply the updates to A.
-        auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
+        auto Cstar = compute_pattern(A, Astar, B, Bstar);
         auto Umerge = build_update_matrix(grid, n, n, feed(merges));
         auto Udel = build_update_matrix(grid, n, n, feed(deletes));
         core::merge_update(A, Umerge);
@@ -94,7 +92,6 @@ void run_general_rounds(Comm& c, const GridCase& gc, std::uint64_t seed,
 
         GeneralSpgemmOptions gopts;
         gopts.use_bloom_filter = use_bloom;
-        gopts.comm_mode = gc.comm_mode;
         auto stats = general_dynamic_spgemm<SR>(C, F, A, B, Cstar, gopts);
         EXPECT_LE(stats.ar_nnz_global, stats.aprime_nnz_global);
 
@@ -142,10 +139,6 @@ TEST_P(GeneralP, DeleteEverythingEmptiesTheProduct) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        GeneralSpgemmOptions gopts;
-        gopts.comm_mode = gc.comm_mode;
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(903);
         const index_t n = 12;
         auto ta = random_triples(rng, n, n, 40);
@@ -163,10 +156,10 @@ TEST_P(GeneralP, DeleteEverythingEmptiesTheProduct) {
 
         auto Astar = build_update_matrix(grid, n, n, feed(ta));
         DistDcsr<double> Bstar(grid, n, n);
-        auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
+        auto Cstar = compute_pattern(A, Astar, B, Bstar);
         core::mask_delete(A, Astar);
         EXPECT_EQ(A.global_nnz(), 0u);
-        general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar, gopts);
+        general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar);
         EXPECT_EQ(C.global_nnz(), 0u);
         EXPECT_EQ(F.global_nnz(), 0u);
     });
@@ -178,10 +171,6 @@ TEST_P(GeneralP, BloomFilterNeverLosesContributions) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        GeneralSpgemmOptions gopts;
-        gopts.comm_mode = gc.comm_mode;
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(904);
         const index_t n = 18;
         auto ta = random_triples(rng, n, n, 90);
@@ -204,10 +193,10 @@ TEST_P(GeneralP, BloomFilterNeverLosesContributions) {
                                                   {ta[1].row, ta[1].col, 60.0}};
             auto Astar = build_update_matrix(grid, n, n, feed(overwrite));
             DistDcsr<double> Bstar(grid, n, n);
-            auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
+            auto Cstar = compute_pattern(A, Astar, B, Bstar);
             auto U = build_update_matrix(grid, n, n, feed(overwrite));
             core::merge_update(A, U);
-            GeneralSpgemmOptions bopts = gopts;
+            GeneralSpgemmOptions bopts;
             bopts.use_bloom_filter = use_bloom;
             auto st = general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar,
                                                               bopts);
@@ -226,10 +215,6 @@ TEST_P(GeneralP, UpdatesOfRightOperandMatchRecompute) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        GeneralSpgemmOptions gopts;
-        gopts.comm_mode = gc.comm_mode;
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(905);
         const index_t n = 18;
         auto ta = random_triples(rng, n, n, 90);
@@ -267,70 +252,14 @@ TEST_P(GeneralP, UpdatesOfRightOperandMatchRecompute) {
             // *post-update* B' per Eq. (1) — so apply B's updates first.
             core::merge_update(B, build_update_matrix(grid, n, n, feed(bumps)));
             core::mask_delete(B, build_update_matrix(grid, n, n, feed(deletes)));
-            auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
+            auto Cstar = compute_pattern(A, Astar, B, Bstar);
             for (const auto& t : bumps) bm[{t.row, t.col}] = t.value;
             for (const auto& t : deletes) bm.erase({t.row, t.col});
 
-            general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar, gopts);
+            general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar);
             test::expect_matches_exactly(
                 C, reference_multiply<MinPlus<double>>(as_map(ta), bm));
         }
-    });
-}
-
-TEST_P(GeneralP, AsyncIsBitIdenticalToSync) {
-    // Async posts the mask broadcasts ahead of the masked multiplies; both
-    // modes post every Z reduction before completing any. Same bytes, same
-    // merge order: C and F must match bit for bit.
-    const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
-        ProcessGrid grid = dsg::test::make_grid(c, gc);
-        std::mt19937_64 rng(911);
-        const index_t n = 26;
-        auto ta = random_triples(rng, n, n, 160, 1.0, 9.0);
-        auto tb = random_triples(rng, n, n, 160, 1.0, 9.0);
-        sparse::combine_duplicates<MinPlus<double>>(ta);
-        sparse::combine_duplicates<MinPlus<double>>(tb);
-        auto merges = random_triples(rng, n, n, 14, 20.0, 40.0);
-        sparse::combine_duplicates<MinPlus<double>>(merges);
-        std::vector<Triple<double>> deletes;
-        for (std::size_t k = 0; k < ta.size(); k += 9) deletes.push_back(ta[k]);
-        std::vector<Triple<double>> changed = merges;
-        changed.insert(changed.end(), deletes.begin(), deletes.end());
-        auto feed = [&](const std::vector<Triple<double>>& ts) {
-            return c.rank() == 0 ? ts : std::vector<Triple<double>>{};
-        };
-        const auto B =
-            build_dynamic_matrix<MinPlus<double>>(grid, n, n, feed(tb));
-        const auto Astar = build_update_matrix(grid, n, n, feed(changed));
-        const DistDcsr<double> Bstar(grid, n, n);
-
-        auto run_one = [&](par::CommMode mode) {
-            auto A =
-                build_dynamic_matrix<MinPlus<double>>(grid, n, n, feed(ta));
-            DistDynamicMatrix<double> C(grid, n, n);
-            DistDynamicMatrix<std::uint64_t> F(grid, n, n);
-            SummaOptions sopts;
-            sopts.bloom_out = &F;
-            core::summa<MinPlus<double>>(C, A, B, sopts);
-            core::DynamicSpgemmOptions dopts;
-            dopts.comm_mode = mode;
-            auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
-            core::merge_update(A, build_update_matrix(grid, n, n, feed(merges)));
-            core::mask_delete(A, build_update_matrix(grid, n, n, feed(deletes)));
-            GeneralSpgemmOptions gopts;
-            gopts.comm_mode = mode;
-            general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar, gopts);
-            std::map<std::pair<index_t, index_t>, std::uint64_t> fmap;
-            for (const auto& t : F.gather_global())
-                fmap[{t.row, t.col}] = t.value;
-            return std::pair(as_map(C.gather_global()), std::move(fmap));
-        };
-        const auto sync = run_one(par::CommMode::Sync);
-        const auto async = run_one(par::CommMode::Async);
-        EXPECT_FALSE(sync.first.empty());
-        EXPECT_EQ(sync.first, async.first);
-        EXPECT_EQ(sync.second, async.second);
     });
 }
 

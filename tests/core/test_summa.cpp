@@ -35,8 +35,6 @@ TEST_P(SummaP, PlusTimesMatchesReference) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        SummaOptions sopts;
-        sopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(42);  // same seed on all ranks: rank 0 feeds
         auto ta = random_triples(rng, 33, 27, 250);
         auto tb = random_triples(rng, 27, 31, 250);
@@ -46,7 +44,7 @@ TEST_P(SummaP, PlusTimesMatchesReference) {
             grid, 33, 27, c.rank() == 0 ? ta : std::vector<Triple<double>>{});
         auto B = build_dynamic_matrix<PlusTimes<double>>(
             grid, 27, 31, c.rank() == 0 ? tb : std::vector<Triple<double>>{});
-        auto C = summa_multiply<PlusTimes<double>>(A, B, sopts);
+        auto C = summa_multiply<PlusTimes<double>>(A, B);
         test::expect_matches(
             C, reference_multiply<PlusTimes<double>>(as_map(ta), as_map(tb)));
     });
@@ -56,8 +54,6 @@ TEST_P(SummaP, MinPlusMatchesReference) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        SummaOptions sopts;
-        sopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(43);
         auto ta = random_triples(rng, 20, 20, 150);
         auto tb = random_triples(rng, 20, 20, 150);
@@ -67,7 +63,7 @@ TEST_P(SummaP, MinPlusMatchesReference) {
             grid, 20, 20, c.rank() == 0 ? ta : std::vector<Triple<double>>{});
         auto B = build_dynamic_matrix<MinPlus<double>>(
             grid, 20, 20, c.rank() == 0 ? tb : std::vector<Triple<double>>{});
-        auto C = summa_multiply<MinPlus<double>>(A, B, sopts);
+        auto C = summa_multiply<MinPlus<double>>(A, B);
         test::expect_matches_exactly(
             C, reference_multiply<MinPlus<double>>(as_map(ta), as_map(tb)));
     });
@@ -77,11 +73,9 @@ TEST_P(SummaP, EmptyOperandsGiveEmptyResult) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        SummaOptions sopts;
-        sopts.comm_mode = gc.comm_mode;
         DistDynamicMatrix<double> A(grid, 12, 12);
         DistDynamicMatrix<double> B(grid, 12, 12);
-        auto C = summa_multiply<PlusTimes<double>>(A, B, sopts);
+        auto C = summa_multiply<PlusTimes<double>>(A, B);
         EXPECT_EQ(C.global_nnz(), 0u);
     });
 }
@@ -90,8 +84,6 @@ TEST_P(SummaP, BloomFilterCoversEveryContribution) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        SummaOptions sopts;
-        sopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(44);
         auto ta = random_triples(rng, 30, 30, 220);
         auto tb = random_triples(rng, 30, 30, 220);
@@ -103,7 +95,7 @@ TEST_P(SummaP, BloomFilterCoversEveryContribution) {
             grid, 30, 30, c.rank() == 0 ? tb : std::vector<Triple<double>>{});
         DistDynamicMatrix<double> C(grid, 30, 30);
         DistDynamicMatrix<std::uint64_t> F(grid, 30, 30);
-        SummaOptions opts = sopts;
+        SummaOptions opts;
         opts.bloom_out = &F;
         core::summa<PlusTimes<double>>(C, A, B, opts);
 
@@ -132,8 +124,6 @@ TEST_P(SummaP, MaskedSummaRestrictsToMask) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        SummaOptions sopts;
-        sopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(45);
         auto ta = random_triples(rng, 24, 24, 200);
         sparse::combine_duplicates<PlusTimes<double>>(ta);
@@ -143,7 +133,7 @@ TEST_P(SummaP, MaskedSummaRestrictsToMask) {
         sparse::PairSet mask(A.shape().local_cols(), A.local().nnz());
         A.local().for_each(
             [&](index_t i, index_t j, double) { mask.insert(i, j); });
-        SummaOptions opts = sopts;
+        SummaOptions opts;
         opts.local_mask = &mask;
         auto C = summa_multiply<PlusTimes<double>>(A, A, opts);
 
@@ -160,40 +150,17 @@ TEST_P(SummaP, ThreadedSummaMatchesSequential) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        SummaOptions sopts;
-        sopts.comm_mode = gc.comm_mode;
         par::ThreadPool pool(2);
         std::mt19937_64 rng(46);
         auto ta = random_triples(rng, 40, 40, 400);
         sparse::combine_duplicates<PlusTimes<double>>(ta);
         auto A = build_dynamic_matrix<PlusTimes<double>>(
             grid, 40, 40, c.rank() == 0 ? ta : std::vector<Triple<double>>{});
-        auto C1 = summa_multiply<PlusTimes<double>>(A, A, sopts);
-        SummaOptions opts = sopts;
+        auto C1 = summa_multiply<PlusTimes<double>>(A, A);
+        SummaOptions opts;
         opts.pool = &pool;
         auto C2 = summa_multiply<PlusTimes<double>>(A, A, opts);
         EXPECT_EQ(as_map(C1.gather_global()), as_map(C2.gather_global()));
-    });
-}
-
-TEST_P(SummaP, AsyncIsBitIdenticalToSync) {
-    const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
-        ProcessGrid grid = dsg::test::make_grid(c, gc);
-        std::mt19937_64 rng(47);
-        auto ta = random_triples(rng, 29, 29, 260);
-        sparse::combine_duplicates<PlusTimes<double>>(ta);
-        auto A = build_dynamic_matrix<PlusTimes<double>>(
-            grid, 29, 29, c.rank() == 0 ? ta : std::vector<Triple<double>>{});
-        SummaOptions sync_opts;
-        sync_opts.comm_mode = par::CommMode::Sync;
-        SummaOptions async_opts;
-        async_opts.comm_mode = par::CommMode::Async;
-        auto Cs = summa_multiply<PlusTimes<double>>(A, A, sync_opts);
-        auto Ca = summa_multiply<PlusTimes<double>>(A, A, async_opts);
-        // Exact map equality: the async schedule moves the same bytes and
-        // reduces in the same order, so values match bit for bit.
-        EXPECT_EQ(as_map(Cs.gather_global()), as_map(Ca.gather_global()));
     });
 }
 

@@ -49,8 +49,6 @@ TEST_P(TransAP, UpdatesOfLeftOperandMatchRecompute) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(700);
         const index_t inner = 24, n = 20, m = 22;
         auto ta = random_triples(rng, inner, n, 120);
@@ -72,7 +70,7 @@ TEST_P(TransAP, UpdatesOfLeftOperandMatchRecompute) {
             DistDynamicMatrix<double> A0(grid, inner, n);
             DistDcsr<double> b_empty(grid, inner, m);
             dynamic_spgemm_algebraic_transA<PlusTimes<double>>(
-                C, A0, Astar_full, B, b_empty, dopts);
+                C, A0, Astar_full, B, b_empty);
         }
         CoordMap am = as_map(ta);
         const CoordMap bm = as_map(tb);
@@ -84,7 +82,7 @@ TEST_P(TransAP, UpdatesOfLeftOperandMatchRecompute) {
             auto Astar = build_update_matrix(grid, inner, n, feed(upd));
             DistDcsr<double> Bstar(grid, inner, m);
             dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Astar, B,
-                                                               Bstar, dopts);
+                                                               Bstar);
             core::add_update<PlusTimes<double>>(A, Astar);
             am = reference_add<PlusTimes<double>>(am, upd);
             test::expect_matches(C, reference_transposed(am, bm));
@@ -96,8 +94,6 @@ TEST_P(TransAP, UpdatesOfRightOperandMatchRecompute) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(800);
         const index_t inner = 20, n = 16, m = 18;
         auto ta = random_triples(rng, inner, n, 100);
@@ -118,7 +114,7 @@ TEST_P(TransAP, UpdatesOfRightOperandMatchRecompute) {
             auto Astar_full = build_update_matrix(grid, inner, n, feed(ta));
             DistDcsr<double> b_empty(grid, inner, m);
             dynamic_spgemm_algebraic_transA<PlusTimes<double>>(
-                C, A0, Astar_full, B, b_empty, dopts);
+                C, A0, Astar_full, B, b_empty);
         }
 
         for (int batch = 0; batch < 3; ++batch) {
@@ -130,7 +126,7 @@ TEST_P(TransAP, UpdatesOfRightOperandMatchRecompute) {
             // must reflect the post-update state per the algorithm contract.
             core::add_update<PlusTimes<double>>(B, Bstar);
             dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Astar, B,
-                                                               Bstar, dopts);
+                                                               Bstar);
             bm = reference_add<PlusTimes<double>>(bm, upd);
             test::expect_matches(C, reference_transposed(am, bm));
         }
@@ -141,8 +137,6 @@ TEST_P(TransAP, SimultaneousUpdatesOfBothOperands) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(900);
         const index_t inner = 18, n = 18, m = 18;
         auto ta = random_triples(rng, inner, n, 90);
@@ -160,7 +154,7 @@ TEST_P(TransAP, SimultaneousUpdatesOfBothOperands) {
             auto Astar_full = build_update_matrix(grid, inner, n, feed(ta));
             DistDcsr<double> b_empty(grid, inner, m);
             dynamic_spgemm_algebraic_transA<PlusTimes<double>>(
-                C, A0, Astar_full, B, b_empty, dopts);
+                C, A0, Astar_full, B, b_empty);
         }
         CoordMap am = as_map(ta), bm = as_map(tb);
         for (int batch = 0; batch < 2; ++batch) {
@@ -173,7 +167,7 @@ TEST_P(TransAP, SimultaneousUpdatesOfBothOperands) {
             // C* = A*^T B' + A^T B*: B updated first, A afterwards.
             core::add_update<PlusTimes<double>>(B, Bstar);
             dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Astar, B,
-                                                               Bstar, dopts);
+                                                               Bstar);
             core::add_update<PlusTimes<double>>(A, Astar);
             am = reference_add<PlusTimes<double>>(am, ua);
             bm = reference_add<PlusTimes<double>>(bm, ub);
@@ -186,8 +180,6 @@ TEST_P(TransAP, CstarOutCollectsExactlyTheDelta) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(950);
         const index_t n = 20;
         auto ta = random_triples(rng, n, n, 80);
@@ -206,7 +198,7 @@ TEST_P(TransAP, CstarOutCollectsExactlyTheDelta) {
         DistDcsr<double> Bstar(grid, n, n);
         DistDynamicMatrix<double> cstar(grid, n, n);
         core::dynamic_spgemm_algebraic<PlusTimes<double>>(
-            C, A, Astar, B, Bstar, dopts, &cstar);
+            C, A, Astar, B, Bstar, {}, &cstar);
         // cstar == A* B exactly.
         auto expect = test::reference_multiply<PlusTimes<double>>(
             as_map(upd), as_map(tb));
@@ -235,8 +227,6 @@ TEST_P(TransBP, UpdatesOfBothOperandsMatchRecompute) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(1000);
         const index_t n = 18, m = 20, inner = 22;
         auto ta = random_triples(rng, n, inner, 100);
@@ -257,7 +247,7 @@ TEST_P(TransBP, UpdatesOfBothOperandsMatchRecompute) {
             auto Astar_full = build_update_matrix(grid, n, inner, feed(ta));
             DistDcsr<double> b_empty(grid, m, inner);
             core::dynamic_spgemm_algebraic_transB<PlusTimes<double>>(
-                C, A0, Astar_full, B, b_empty, dopts);
+                C, A0, Astar_full, B, b_empty);
         }
         test::expect_matches(C, reference_transposed_b(am, bm));
 
@@ -271,7 +261,7 @@ TEST_P(TransBP, UpdatesOfBothOperandsMatchRecompute) {
             // C* = A* B'^T + A B*^T: update B first, A afterwards.
             core::add_update<PlusTimes<double>>(B, Bstar);
             core::dynamic_spgemm_algebraic_transB<PlusTimes<double>>(
-                C, A, Astar, B, Bstar, dopts);
+                C, A, Astar, B, Bstar);
             core::add_update<PlusTimes<double>>(A, Astar);
             am = reference_add<PlusTimes<double>>(am, ua);
             bm = reference_add<PlusTimes<double>>(bm, ub);
@@ -286,8 +276,6 @@ TEST_P(TransBP, RightOnlyUpdateIsTheOuterProductCase) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(1100);
         const index_t n = 16, m = 16, inner = 16;
         auto ta = random_triples(rng, n, inner, 80);
@@ -308,7 +296,7 @@ TEST_P(TransBP, RightOnlyUpdateIsTheOuterProductCase) {
             DistDcsr<double> Astar(grid, n, inner);
             core::add_update<PlusTimes<double>>(B, Bstar);
             core::dynamic_spgemm_algebraic_transB<PlusTimes<double>>(
-                C, A, Astar, B, Bstar, dopts);
+                C, A, Astar, B, Bstar);
             bm = reference_add<PlusTimes<double>>(bm, ub);
             test::expect_matches(C, reference_transposed_b(am, bm));
         }

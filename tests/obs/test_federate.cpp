@@ -234,7 +234,7 @@ TEST_P(FederatedHttpG, Rank0ServesAllRanksOverHttp) {
 
 INSTANTIATE_TEST_SUITE_P(
     GridShapes, FederatedHttpG,
-    ::testing::ValuesIn(dsg::test::grid_shape_cases_sync_only()),
+    ::testing::ValuesIn(dsg::test::grid_shape_cases()),
     dsg::test::grid_case_name);
 
 }  // namespace

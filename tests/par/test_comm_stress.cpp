@@ -4,10 +4,7 @@
 // tag-matching bug would surface under.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
 #include <random>
-#include <thread>
 
 #include "par/comm.hpp"
 
@@ -142,130 +139,6 @@ TEST(CommStress, RandomizedAlltoallvVolumes) {
     });
 }
 
-// Async stress: every rank posts a window of overlapping ibcasts (posting
-// order is the collective contract and must match across ranks), then a pool
-// of worker threads completes the handles in a per-rank randomized order.
-// Completion order must not matter: each handle is tag-isolated. This test
-// runs under the CI TSan job (par label) to catch races in the mailbox
-// delivery that sync-mode traffic cannot reach.
-TEST(CommStress, OverlappingAsyncBroadcastsCompleteInAnyOrder) {
-    run_world(6, [&](Comm& c) {
-        constexpr int kInFlight = 12;
-        constexpr int kWorkers = 3;
-        std::mt19937_64 rng(33 + static_cast<std::uint64_t>(c.rank()));
-        for (int round = 0; round < 8; ++round) {
-            std::vector<Comm::PendingBcast> pending;
-            pending.reserve(kInFlight);
-            for (int k = 0; k < kInFlight; ++k) {
-                const int root = (round + k) % c.size();
-                Buffer msg;
-                if (c.rank() == root)
-                    msg = payload(static_cast<std::uint64_t>(root * 1000 +
-                                                             round * 100 + k),
-                                  48);
-                pending.push_back(c.ibcast(root, std::move(msg)));
-            }
-            std::vector<int> order(kInFlight);
-            std::iota(order.begin(), order.end(), 0);
-            std::shuffle(order.begin(), order.end(), rng);
-            std::vector<Buffer> got(kInFlight);
-            std::atomic<std::size_t> next{0};
-            std::vector<std::thread> workers;
-            for (int w = 0; w < kWorkers; ++w)
-                workers.emplace_back([&] {
-                    for (std::size_t i = next.fetch_add(1);
-                         i < static_cast<std::size_t>(kInFlight);
-                         i = next.fetch_add(1)) {
-                        const auto k = static_cast<std::size_t>(
-                            order[static_cast<std::size_t>(i)]);
-                        got[k] = pending[k].wait();
-                    }
-                });
-            for (auto& w : workers) w.join();
-            for (int k = 0; k < kInFlight; ++k) {
-                const int root = (round + k) % c.size();
-                EXPECT_TRUE(check_payload(
-                    got[static_cast<std::size_t>(k)],
-                    static_cast<std::uint64_t>(root * 1000 + round * 100 + k)))
-                    << "round " << round << " handle " << k;
-            }
-        }
-    });
-}
-
-// Same shape for ialltoallv, plus interleaved ibcasts in the same posting
-// window: two collective kinds in flight at once, completed in randomized
-// order by concurrent threads.
-TEST(CommStress, OverlappingAsyncAlltoallvsAndBroadcastsMix) {
-    run_world(6, [&](Comm& c) {
-        constexpr int kPairs = 6;  // per round: one alltoallv + one bcast each
-        const auto p = static_cast<std::size_t>(c.size());
-        std::mt19937_64 rng(91 + static_cast<std::uint64_t>(c.rank()));
-        for (int round = 0; round < 6; ++round) {
-            std::vector<Comm::PendingAlltoallv> pa;
-            std::vector<Comm::PendingBcast> pb;
-            for (int k = 0; k < kPairs; ++k) {
-                std::vector<Buffer> send(p);
-                for (int d = 0; d < c.size(); ++d) {
-                    const std::size_t size =
-                        ((static_cast<std::size_t>(c.rank()) * 29 +
-                          static_cast<std::size_t>(d) * 13 +
-                          static_cast<std::size_t>(round + k)) %
-                         101) +
-                        1;
-                    send[static_cast<std::size_t>(d)] = payload(
-                        static_cast<std::uint64_t>(c.rank() * 11 + d + k),
-                        size);
-                }
-                pa.push_back(c.ialltoallv(std::move(send)));
-                const int root = k % c.size();
-                Buffer msg;
-                if (c.rank() == root)
-                    msg = payload(static_cast<std::uint64_t>(500 + k), 32);
-                pb.push_back(c.ibcast(root, std::move(msg)));
-            }
-            // Complete: one thread drains the alltoallvs in reverse order,
-            // another the bcasts shuffled — both concurrently.
-            std::vector<std::vector<Buffer>> agot(kPairs);
-            std::vector<Buffer> bgot(kPairs);
-            std::thread ta([&] {
-                for (int k = kPairs - 1; k >= 0; --k)
-                    agot[static_cast<std::size_t>(k)] =
-                        pa[static_cast<std::size_t>(k)].wait();
-            });
-            std::thread tb([&] {
-                std::vector<int> order(kPairs);
-                std::iota(order.begin(), order.end(), 0);
-                std::shuffle(order.begin(), order.end(), rng);
-                for (const int k : order)
-                    bgot[static_cast<std::size_t>(k)] =
-                        pb[static_cast<std::size_t>(k)].wait();
-            });
-            ta.join();
-            tb.join();
-            for (int k = 0; k < kPairs; ++k) {
-                EXPECT_TRUE(check_payload(bgot[static_cast<std::size_t>(k)],
-                                          static_cast<std::uint64_t>(500 + k)));
-                for (int s = 0; s < c.size(); ++s) {
-                    const std::size_t expect_size =
-                        ((static_cast<std::size_t>(s) * 29 +
-                          static_cast<std::size_t>(c.rank()) * 13 +
-                          static_cast<std::size_t>(round + k)) %
-                         101) +
-                        1;
-                    const auto& buf =
-                        agot[static_cast<std::size_t>(k)]
-                            [static_cast<std::size_t>(s)];
-                    ASSERT_EQ(buf.size(), expect_size);
-                    EXPECT_TRUE(check_payload(
-                        buf, static_cast<std::uint64_t>(s * 11 + c.rank() +
-                                                        k)));
-                }
-            }
-        }
-    });
-}
-
 // A non-commutative merge: the reduced buffer records the merge order.
 Buffer concat(Buffer a, Buffer b) {
     a.insert(a.end(), b.begin(), b.end());
@@ -281,7 +154,8 @@ Buffer contribution(int k, int rank) {
 // interleaved between posts (the Algorithm 2 round shape), completed in post
 // order. Interior tree nodes exist from 4 ranks on; 5 and 6 have several.
 // Result bytes — hence merge order — and the volume counters must equal
-// those of the same sequence run through blocking reduce_merge.
+// those of the same sequence run through blocking reduce_merge, and the
+// post/wait counters must account for every reduction.
 TEST(CommStress, PostedReductionsMatchBlockingInOrderAndVolume) {
     for (const int p : {3, 5, 6}) {
         const int n = 4 * p;
@@ -348,6 +222,13 @@ TEST(CommStress, PostedReductionsMatchBlockingInOrderAndVolume) {
         EXPECT_EQ(s1.collectives - s0.collectives,
                   s2.collectives - s1.collectives);
         EXPECT_GT(s1.reduce_bytes - s0.reduce_bytes, 0u);
+        // Every rank posts and waits each reduction once, blocking form
+        // included (it is a post followed by a wait).
+        const auto reductions = static_cast<std::uint64_t>(p * n);
+        EXPECT_EQ(s1.async_posted - s0.async_posted, reductions);
+        EXPECT_EQ(s1.async_completed - s0.async_completed, reductions);
+        EXPECT_EQ(s2.async_posted - s1.async_posted, reductions);
+        EXPECT_EQ(s2.async_completed - s1.async_completed, reductions);
     }
 }
 
@@ -369,6 +250,9 @@ TEST(CommStress, LeafPostReturnsBeforeAnyPeerPosts) {
                     const auto after = c.stats().snapshot();
                     EXPECT_EQ(after.p2p_messages - before.p2p_messages, 1u);
                     EXPECT_EQ(after.reduce_bytes - before.reduce_bytes, 2u);
+                    // Posted, not yet waited: the counters show it in flight.
+                    EXPECT_EQ(after.async_posted - before.async_posted, 1u);
+                    EXPECT_EQ(after.async_completed, before.async_completed);
                     for (int d = 0; d < p; ++d)
                         if (d != leaf) c.send(d, kGo, Buffer{});
                     EXPECT_TRUE(pending.wait(concat).empty());

@@ -76,7 +76,6 @@ void check_recovery_equivalence(const GridCase& gc,
         core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
         core::DistDynamicMatrix<double> A(grid, n, n);
         stream::EngineConfig cfg;
-        cfg.comm_mode = gc.comm_mode;
         cfg.epoch_batch = 256;
         cfg.epoch_deadline = std::chrono::milliseconds(2);
         Engine engine(A, cfg);
@@ -396,7 +395,7 @@ TEST(Recovery, ResumeContinuesDurablyAcrossRestarts) {
 
 INSTANTIATE_TEST_SUITE_P(
     GridShapes, RecoveryG,
-    ::testing::ValuesIn(dsg::test::grid_shape_cases_sync_only()),
+    ::testing::ValuesIn(dsg::test::grid_shape_cases()),
     dsg::test::grid_case_name);
 
 TEST(Recovery, ColdDirectoryRecoversToEmptyVersionZero) {

@@ -49,7 +49,6 @@ void populate(serve::SnapshotStore<double>& store, bool with_hub,
             hub.emplace<analytics::LiveTriangleMaintainer>(grid, kN);
 
         stream::EngineConfig cfg;
-        cfg.comm_mode = gc.comm_mode;
         cfg.epoch_batch = 1 << 12;
         Engine engine(A, cfg);
         if (with_hub) hub.attach(engine);

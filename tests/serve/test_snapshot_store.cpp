@@ -82,7 +82,6 @@ TEST_P(SnapshotStoreG, PublishedVersionsAreImmutablePerEpochImages) {
         const index_t n = 32;
         core::DistDynamicMatrix<double> A(grid, n, n);
         stream::EngineConfig cfg;
-        cfg.comm_mode = gc.comm_mode;
         cfg.epoch_batch = 1;
         Engine engine(A, cfg);
         store.attach(engine, A);
@@ -255,7 +254,6 @@ TEST_P(SnapshotStoreG, QueriesMatchBruteForceReference) {
         const index_t n = 48;
         core::DistDynamicMatrix<double> A(grid, n, n);
         stream::EngineConfig cfg;
-        cfg.comm_mode = gc.comm_mode;
         cfg.epoch_batch = 256;
         Engine engine(A, cfg);
         store.attach(engine, A);

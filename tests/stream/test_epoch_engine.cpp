@@ -43,7 +43,6 @@ TEST_P(EpochEngineG, AppliesAllThreeKindsInOneEpoch) {
         // the expected state is independent of cross-rank apply order.
         const auto r = static_cast<index_t>(comm.rank());
         stream::EngineConfig cfg;
-        cfg.comm_mode = gc.comm_mode;
         cfg.epoch_batch = 1 << 12;  // everything fits in one epoch
         Engine engine(A, cfg);
         auto& q = engine.queue();
@@ -87,7 +86,6 @@ TEST_P(EpochEngineG, ConcurrentProducersMatchSequentialReference) {
 
         core::DistDynamicMatrix<double> A(grid, n, n);
         stream::EngineConfig cfg;
-        cfg.comm_mode = gc.comm_mode;
         cfg.queue_capacity = 1 << 10;  // force many epochs + backpressure
         cfg.epoch_batch = 512;
         cfg.epoch_deadline = std::chrono::milliseconds(2);
@@ -352,7 +350,6 @@ TEST_P(EpochEngineG, OverlapPersistMatchesInlineWal) {
             const index_t n = 96;
             core::DistDynamicMatrix<double> A(grid, n, n);
             stream::EngineConfig cfg;
-            cfg.comm_mode = gc.comm_mode;
             cfg.overlap_persist = overlap;
             cfg.epoch_batch = 32;
             cfg.epoch_deadline = std::chrono::milliseconds(1);
@@ -413,99 +410,8 @@ TEST_P(EpochEngineG, OverlapPersistMatchesInlineWal) {
     }
 }
 
-// Streaming the same ops through engines in sync and async comm mode must
-// produce bit-identical matrices: the async build path posts the same
-// exchange and applies in the same order.
-TEST_P(EpochEngineG, AsyncCommIsBitIdenticalToSync) {
-    const GridCase gc = GetParam();
-    auto run_one = [&](par::CommMode mode) {
-        CoordMap out;
-        par::run_world(gc.p(), [&](par::Comm& comm) {
-            core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
-            const index_t n = 128;
-            core::DistDynamicMatrix<double> A(grid, n, n);
-            stream::EngineConfig cfg;
-            cfg.comm_mode = mode;
-            cfg.epoch_batch = 64;
-            cfg.epoch_deadline = std::chrono::milliseconds(1);
-            Engine engine(A, cfg);
-            auto& q = engine.queue();
-            std::mt19937_64 rng(8'000 + static_cast<std::uint64_t>(comm.rank()));
-            for (int k = 0; k < 400; ++k)
-                ASSERT_TRUE(q.push(
-                    {OpKind::Add,
-                     {static_cast<index_t>(rng() % 128),
-                      static_cast<index_t>(rng() % 128),
-                      static_cast<double>(rng() % 97) / 8.0}}));
-            q.close();
-            engine.run();
-            auto global = A.gather_global();  // collective: all ranks call
-            if (comm.rank() == 0) out = test::as_map(global);
-            comm.barrier();
-        });
-        return out;
-    };
-    EXPECT_EQ(run_one(par::CommMode::Sync), run_one(par::CommMode::Async));
-}
-
 INSTANTIATE_TEST_SUITE_P(GridShapes, EpochEngineG,
                          ::testing::ValuesIn(dsg::test::grid_shape_cases()),
                          dsg::test::grid_case_name);
-
-// Acceptance: all nine workload scenarios produce a bit-identical matrix in
-// sync and async comm mode, on a rectangular 2x3 grid. Epoch boundaries are
-// pinned (chunked pushes with a pump per chunk — the queue drains whole) so
-// both runs apply the identical epoch sequence; any divergence is then the
-// comm schedule's fault alone.
-TEST(EpochEngine, AsyncMatchesSyncOnEveryScenario) {
-    const GridCase gc{2, 3};
-    for (auto scenario : stream::all_scenarios()) {
-        auto run_one = [&](par::CommMode mode) {
-            CoordMap out;
-            par::run_world(gc.p(), [&](par::Comm& comm) {
-                core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
-                const index_t n = 128;
-                core::DistDynamicMatrix<double> A(grid, n, n);
-
-                // Deterministic op stream: every scenario yields exactly
-                // wl.writes write events per producer.
-                stream::WorkloadConfig wl;
-                wl.scenario = scenario;
-                wl.n = n;
-                wl.writes = 600;
-                wl.seed = 40 + static_cast<std::uint64_t>(comm.rank());
-                std::vector<StreamOp<double>> ops;
-                stream::WorkloadProducer source(wl, 0);
-                while (auto ev = source.next())
-                    if (ev->type == stream::Event::Type::Write)
-                        ops.push_back(ev->op);
-                ASSERT_EQ(ops.size(), wl.writes);
-
-                stream::EngineConfig cfg;
-                cfg.comm_mode = mode;
-                cfg.epoch_batch = 64;
-                cfg.epoch_deadline = std::chrono::milliseconds(1);
-                Engine engine(A, cfg);
-                auto& q = engine.queue();
-                std::size_t fed = 0;
-                while (fed < ops.size()) {
-                    const std::size_t end =
-                        std::min(fed + 100, ops.size());
-                    for (; fed < end; ++fed) ASSERT_TRUE(q.push(ops[fed]));
-                    engine.pump();  // collective
-                }
-                q.close();
-                engine.run();
-
-                auto global = A.gather_global();  // collective: all ranks
-                if (comm.rank() == 0) out = test::as_map(global);
-                comm.barrier();
-            });
-            return out;
-        };
-        EXPECT_EQ(run_one(par::CommMode::Sync), run_one(par::CommMode::Async))
-            << stream::scenario_name(scenario);
-    }
-}
 
 }  // namespace
