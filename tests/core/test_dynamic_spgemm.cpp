@@ -43,6 +43,9 @@ TEST_P(DynSpgemmP, InsertionsIntoAMatchRecompute) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(100);
         const index_t n = 26, kk = 22, m = 24;
         auto ta = random_triples(rng, n, kk, 140);
@@ -67,8 +70,8 @@ TEST_P(DynSpgemmP, InsertionsIntoAMatchRecompute) {
             auto Astar = build_update_matrix(grid, n, kk, empty_unless0(upd));
             core::DistDcsr<double> Bstar(grid, kk, m);  // empty
             // Dynamic update of C, then of A itself.
-            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
-            core::add_update<PlusTimes<double>>(A, Astar);
+            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar, dopts);
+            core::add_update<PlusTimes<double>>(A, Astar, pool.get());
             am = reference_add<PlusTimes<double>>(am, upd);
             test::expect_matches(
                 C, reference_multiply<PlusTimes<double>>(am, bm));
@@ -80,6 +83,9 @@ TEST_P(DynSpgemmP, SimultaneousUpdatesOfBothOperands) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(200);
         const index_t n = 20;
         auto ta = random_triples(rng, n, n, 120);
@@ -103,9 +109,9 @@ TEST_P(DynSpgemmP, SimultaneousUpdatesOfBothOperands) {
             auto Bstar = build_update_matrix(grid, n, n, feed(ub));
             // C' = C + A* B' + A B': apply B's update *first* so Bprime is
             // available, keep A pre-update for the A B* term.
-            core::add_update<PlusTimes<double>>(B, Bstar);
-            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
-            core::add_update<PlusTimes<double>>(A, Astar);
+            core::add_update<PlusTimes<double>>(B, Bstar, pool.get());
+            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar, dopts);
+            core::add_update<PlusTimes<double>>(A, Astar, pool.get());
             am = reference_add<PlusTimes<double>>(am, ua);
             bm = reference_add<PlusTimes<double>>(bm, ub);
             test::expect_matches(
@@ -119,6 +125,9 @@ TEST_P(DynSpgemmP, RingDeletionsViaNegativeUpdates) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(300);
         const index_t n = 18;
         auto ta = random_triples(rng, n, n, 100);
@@ -141,8 +150,8 @@ TEST_P(DynSpgemmP, RingDeletionsViaNegativeUpdates) {
         }
         auto Astar = build_update_matrix(grid, n, n, feed(negs));
         core::DistDcsr<double> Bstar(grid, n, n);
-        dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
-        core::add_update<PlusTimes<double>>(A, Astar);
+        dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar, dopts);
+        core::add_update<PlusTimes<double>>(A, Astar, pool.get());
         test::expect_matches(C,
                              reference_multiply<PlusTimes<double>>(am, as_map(tb)));
     });
@@ -154,6 +163,9 @@ TEST_P(DynSpgemmP, MinPlusDecreasingUpdatesAreAlgebraic) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(400);
         const index_t n = 16;
         auto ta = random_triples(rng, n, n, 80, 5.0, 9.0);
@@ -172,8 +184,8 @@ TEST_P(DynSpgemmP, MinPlusDecreasingUpdatesAreAlgebraic) {
             sparse::combine_duplicates<MinPlus<double>>(upd);
             auto Astar = build_update_matrix(grid, n, n, feed(upd));
             core::DistDcsr<double> Bstar(grid, n, n);
-            dynamic_spgemm_algebraic<MinPlus<double>>(C, A, Astar, B, Bstar);
-            core::add_update<MinPlus<double>>(A, Astar);
+            dynamic_spgemm_algebraic<MinPlus<double>>(C, A, Astar, B, Bstar, dopts);
+            core::add_update<MinPlus<double>>(A, Astar, pool.get());
             am = reference_add<MinPlus<double>>(am, upd);
             // MinPlus result entries equal the recomputation exactly (no
             // cancellation concerns), but C may hold extra structural
@@ -199,6 +211,9 @@ TEST_P(DynSpgemmP, PatternIsSupersetWithCorrectBloomBits) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(500);
         const index_t n = 22;
         auto ta = random_triples(rng, n, n, 90);
@@ -215,7 +230,7 @@ TEST_P(DynSpgemmP, PatternIsSupersetWithCorrectBloomBits) {
         auto Astar = build_update_matrix(grid, n, n, feed(upd));
         core::DistDcsr<double> Bstar(grid, n, n);
 
-        auto Cstar = compute_pattern(A, Astar, B, Bstar);
+        auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
         std::map<std::pair<index_t, index_t>, std::uint64_t> pat;
         for (const auto& t : Cstar.gather_global()) pat[{t.row, t.col}] = t.value;
 
@@ -244,6 +259,9 @@ TEST_P(DynSpgemmP, DynamicBeatsSummaOnCommunicationVolume) {
     run_world(gc.p(), [&](Comm& c) {
         if (c.size() == 1) GTEST_SKIP();  // no communication either way
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(600);
         const index_t n = 64;
         auto ta = random_triples(rng, n, n, 2000);
@@ -265,7 +283,7 @@ TEST_P(DynSpgemmP, DynamicBeatsSummaOnCommunicationVolume) {
         c.barrier();
         if (c.rank() == 0) c.stats().reset();
         c.barrier();
-        dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
+        dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar, dopts);
         c.barrier();
         const auto dyn = c.stats().snapshot().total_bytes();
 

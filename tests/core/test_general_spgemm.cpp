@@ -44,6 +44,9 @@ template <typename SR>
 void run_general_rounds(Comm& c, const GridCase& gc, std::uint64_t seed,
                         int rounds, bool use_bloom) {
     ProcessGrid grid = dsg::test::make_grid(c, gc);
+    auto pool = dsg::test::make_pool(gc);
+    core::DynamicSpgemmOptions dopts;
+    dopts.pool = pool.get();
     std::mt19937_64 rng(seed);
     const index_t n = 20;
     auto ta = random_triples(rng, n, n, 110, 1.0, 9.0);
@@ -82,16 +85,17 @@ void run_general_rounds(Comm& c, const GridCase& gc, std::uint64_t seed,
         DistDcsr<double> Bstar(grid, n, n);
 
         // Pattern first (uses pre-update A), then apply the updates to A.
-        auto Cstar = compute_pattern(A, Astar, B, Bstar);
+        auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
         auto Umerge = build_update_matrix(grid, n, n, feed(merges));
         auto Udel = build_update_matrix(grid, n, n, feed(deletes));
-        core::merge_update(A, Umerge);
-        core::mask_delete(A, Udel);
+        core::merge_update(A, Umerge, pool.get());
+        core::mask_delete(A, Udel, pool.get());
         for (const auto& t : merges) am[{t.row, t.col}] = t.value;
         for (const auto& t : deletes) am.erase({t.row, t.col});
 
         GeneralSpgemmOptions gopts;
         gopts.use_bloom_filter = use_bloom;
+        gopts.pool = pool.get();
         auto stats = general_dynamic_spgemm<SR>(C, F, A, B, Cstar, gopts);
         EXPECT_LE(stats.ar_nnz_global, stats.aprime_nnz_global);
 
@@ -139,6 +143,11 @@ TEST_P(GeneralP, DeleteEverythingEmptiesTheProduct) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        GeneralSpgemmOptions gopts;
+        gopts.pool = pool.get();
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(903);
         const index_t n = 12;
         auto ta = random_triples(rng, n, n, 40);
@@ -156,10 +165,10 @@ TEST_P(GeneralP, DeleteEverythingEmptiesTheProduct) {
 
         auto Astar = build_update_matrix(grid, n, n, feed(ta));
         DistDcsr<double> Bstar(grid, n, n);
-        auto Cstar = compute_pattern(A, Astar, B, Bstar);
-        core::mask_delete(A, Astar);
+        auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
+        core::mask_delete(A, Astar, pool.get());
         EXPECT_EQ(A.global_nnz(), 0u);
-        general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar);
+        general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar, gopts);
         EXPECT_EQ(C.global_nnz(), 0u);
         EXPECT_EQ(F.global_nnz(), 0u);
     });
@@ -171,6 +180,11 @@ TEST_P(GeneralP, BloomFilterNeverLosesContributions) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        GeneralSpgemmOptions gopts;
+        gopts.pool = pool.get();
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(904);
         const index_t n = 18;
         auto ta = random_triples(rng, n, n, 90);
@@ -193,10 +207,10 @@ TEST_P(GeneralP, BloomFilterNeverLosesContributions) {
                                                   {ta[1].row, ta[1].col, 60.0}};
             auto Astar = build_update_matrix(grid, n, n, feed(overwrite));
             DistDcsr<double> Bstar(grid, n, n);
-            auto Cstar = compute_pattern(A, Astar, B, Bstar);
+            auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
             auto U = build_update_matrix(grid, n, n, feed(overwrite));
-            core::merge_update(A, U);
-            GeneralSpgemmOptions bopts;
+            core::merge_update(A, U, pool.get());
+            GeneralSpgemmOptions bopts = gopts;
             bopts.use_bloom_filter = use_bloom;
             auto st = general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar,
                                                               bopts);
@@ -215,6 +229,11 @@ TEST_P(GeneralP, UpdatesOfRightOperandMatchRecompute) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        GeneralSpgemmOptions gopts;
+        gopts.pool = pool.get();
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(905);
         const index_t n = 18;
         auto ta = random_triples(rng, n, n, 90);
@@ -250,8 +269,10 @@ TEST_P(GeneralP, UpdatesOfRightOperandMatchRecompute) {
             DistDcsr<double> Astar(grid, n, n);
             // Pattern uses the pre-update A (trivially: A unchanged) and the
             // *post-update* B' per Eq. (1) — so apply B's updates first.
-            core::merge_update(B, build_update_matrix(grid, n, n, feed(bumps)));
-            core::mask_delete(B, build_update_matrix(grid, n, n, feed(deletes)));
+            core::merge_update(B, build_update_matrix(grid, n, n, feed(bumps)),
+                               pool.get());
+            core::mask_delete(B, build_update_matrix(grid, n, n, feed(deletes)),
+                              pool.get());
             auto Cstar = compute_pattern(A, Astar, B, Bstar);
             for (const auto& t : bumps) bm[{t.row, t.col}] = t.value;
             for (const auto& t : deletes) bm.erase({t.row, t.col});

@@ -159,7 +159,7 @@ TEST_P(GridP, PartitionsCoverBothAxes) {
 
 INSTANTIATE_TEST_SUITE_P(
     GridShapes, GridP,
-    ::testing::ValuesIn(dsg::test::grid_shape_cases()),
+    ::testing::ValuesIn(dsg::test::grid_shape_cases_sync_only()),
     dsg::test::grid_case_name);
 
 }  // namespace

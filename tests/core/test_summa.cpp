@@ -35,6 +35,9 @@ TEST_P(SummaP, PlusTimesMatchesReference) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        SummaOptions sopts;
+        sopts.pool = pool.get();
         std::mt19937_64 rng(42);  // same seed on all ranks: rank 0 feeds
         auto ta = random_triples(rng, 33, 27, 250);
         auto tb = random_triples(rng, 27, 31, 250);
@@ -44,7 +47,7 @@ TEST_P(SummaP, PlusTimesMatchesReference) {
             grid, 33, 27, c.rank() == 0 ? ta : std::vector<Triple<double>>{});
         auto B = build_dynamic_matrix<PlusTimes<double>>(
             grid, 27, 31, c.rank() == 0 ? tb : std::vector<Triple<double>>{});
-        auto C = summa_multiply<PlusTimes<double>>(A, B);
+        auto C = summa_multiply<PlusTimes<double>>(A, B, sopts);
         test::expect_matches(
             C, reference_multiply<PlusTimes<double>>(as_map(ta), as_map(tb)));
     });
@@ -54,6 +57,9 @@ TEST_P(SummaP, MinPlusMatchesReference) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        SummaOptions sopts;
+        sopts.pool = pool.get();
         std::mt19937_64 rng(43);
         auto ta = random_triples(rng, 20, 20, 150);
         auto tb = random_triples(rng, 20, 20, 150);
@@ -63,7 +69,7 @@ TEST_P(SummaP, MinPlusMatchesReference) {
             grid, 20, 20, c.rank() == 0 ? ta : std::vector<Triple<double>>{});
         auto B = build_dynamic_matrix<MinPlus<double>>(
             grid, 20, 20, c.rank() == 0 ? tb : std::vector<Triple<double>>{});
-        auto C = summa_multiply<MinPlus<double>>(A, B);
+        auto C = summa_multiply<MinPlus<double>>(A, B, sopts);
         test::expect_matches_exactly(
             C, reference_multiply<MinPlus<double>>(as_map(ta), as_map(tb)));
     });
@@ -73,9 +79,12 @@ TEST_P(SummaP, EmptyOperandsGiveEmptyResult) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        SummaOptions sopts;
+        sopts.pool = pool.get();
         DistDynamicMatrix<double> A(grid, 12, 12);
         DistDynamicMatrix<double> B(grid, 12, 12);
-        auto C = summa_multiply<PlusTimes<double>>(A, B);
+        auto C = summa_multiply<PlusTimes<double>>(A, B, sopts);
         EXPECT_EQ(C.global_nnz(), 0u);
     });
 }
@@ -84,6 +93,9 @@ TEST_P(SummaP, BloomFilterCoversEveryContribution) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        SummaOptions sopts;
+        sopts.pool = pool.get();
         std::mt19937_64 rng(44);
         auto ta = random_triples(rng, 30, 30, 220);
         auto tb = random_triples(rng, 30, 30, 220);
@@ -95,7 +107,7 @@ TEST_P(SummaP, BloomFilterCoversEveryContribution) {
             grid, 30, 30, c.rank() == 0 ? tb : std::vector<Triple<double>>{});
         DistDynamicMatrix<double> C(grid, 30, 30);
         DistDynamicMatrix<std::uint64_t> F(grid, 30, 30);
-        SummaOptions opts;
+        SummaOptions opts = sopts;
         opts.bloom_out = &F;
         core::summa<PlusTimes<double>>(C, A, B, opts);
 
@@ -124,6 +136,9 @@ TEST_P(SummaP, MaskedSummaRestrictsToMask) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        SummaOptions sopts;
+        sopts.pool = pool.get();
         std::mt19937_64 rng(45);
         auto ta = random_triples(rng, 24, 24, 200);
         sparse::combine_duplicates<PlusTimes<double>>(ta);
@@ -133,7 +148,7 @@ TEST_P(SummaP, MaskedSummaRestrictsToMask) {
         sparse::PairSet mask(A.shape().local_cols(), A.local().nnz());
         A.local().for_each(
             [&](index_t i, index_t j, double) { mask.insert(i, j); });
-        SummaOptions opts;
+        SummaOptions opts = sopts;
         opts.local_mask = &mask;
         auto C = summa_multiply<PlusTimes<double>>(A, A, opts);
 
@@ -150,13 +165,18 @@ TEST_P(SummaP, ThreadedSummaMatchesSequential) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        par::ThreadPool pool(2);
+        // Compared against the case's own run (inline or two threads), so a
+        // three-thread pool chunks the work differently in either case.
+        auto case_pool = dsg::test::make_pool(gc);
+        par::ThreadPool pool(3);
         std::mt19937_64 rng(46);
         auto ta = random_triples(rng, 40, 40, 400);
         sparse::combine_duplicates<PlusTimes<double>>(ta);
         auto A = build_dynamic_matrix<PlusTimes<double>>(
             grid, 40, 40, c.rank() == 0 ? ta : std::vector<Triple<double>>{});
-        auto C1 = summa_multiply<PlusTimes<double>>(A, A);
+        SummaOptions case_opts;
+        case_opts.pool = case_pool.get();
+        auto C1 = summa_multiply<PlusTimes<double>>(A, A, case_opts);
         SummaOptions opts;
         opts.pool = &pool;
         auto C2 = summa_multiply<PlusTimes<double>>(A, A, opts);

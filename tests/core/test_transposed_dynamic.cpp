@@ -49,6 +49,9 @@ TEST_P(TransAP, UpdatesOfLeftOperandMatchRecompute) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(700);
         const index_t inner = 24, n = 20, m = 22;
         auto ta = random_triples(rng, inner, n, 120);
@@ -70,7 +73,7 @@ TEST_P(TransAP, UpdatesOfLeftOperandMatchRecompute) {
             DistDynamicMatrix<double> A0(grid, inner, n);
             DistDcsr<double> b_empty(grid, inner, m);
             dynamic_spgemm_algebraic_transA<PlusTimes<double>>(
-                C, A0, Astar_full, B, b_empty);
+                C, A0, Astar_full, B, b_empty, dopts);
         }
         CoordMap am = as_map(ta);
         const CoordMap bm = as_map(tb);
@@ -82,8 +85,8 @@ TEST_P(TransAP, UpdatesOfLeftOperandMatchRecompute) {
             auto Astar = build_update_matrix(grid, inner, n, feed(upd));
             DistDcsr<double> Bstar(grid, inner, m);
             dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Astar, B,
-                                                               Bstar);
-            core::add_update<PlusTimes<double>>(A, Astar);
+                                                               Bstar, dopts);
+            core::add_update<PlusTimes<double>>(A, Astar, pool.get());
             am = reference_add<PlusTimes<double>>(am, upd);
             test::expect_matches(C, reference_transposed(am, bm));
         }
@@ -94,6 +97,9 @@ TEST_P(TransAP, UpdatesOfRightOperandMatchRecompute) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(800);
         const index_t inner = 20, n = 16, m = 18;
         auto ta = random_triples(rng, inner, n, 100);
@@ -114,7 +120,7 @@ TEST_P(TransAP, UpdatesOfRightOperandMatchRecompute) {
             auto Astar_full = build_update_matrix(grid, inner, n, feed(ta));
             DistDcsr<double> b_empty(grid, inner, m);
             dynamic_spgemm_algebraic_transA<PlusTimes<double>>(
-                C, A0, Astar_full, B, b_empty);
+                C, A0, Astar_full, B, b_empty, dopts);
         }
 
         for (int batch = 0; batch < 3; ++batch) {
@@ -124,9 +130,9 @@ TEST_P(TransAP, UpdatesOfRightOperandMatchRecompute) {
             DistDcsr<double> Astar(grid, inner, n);
             // C += A^T B* (Y-term only); B' not needed by the X-term here but
             // must reflect the post-update state per the algorithm contract.
-            core::add_update<PlusTimes<double>>(B, Bstar);
+            core::add_update<PlusTimes<double>>(B, Bstar, pool.get());
             dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Astar, B,
-                                                               Bstar);
+                                                               Bstar, dopts);
             bm = reference_add<PlusTimes<double>>(bm, upd);
             test::expect_matches(C, reference_transposed(am, bm));
         }
@@ -137,6 +143,9 @@ TEST_P(TransAP, SimultaneousUpdatesOfBothOperands) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(900);
         const index_t inner = 18, n = 18, m = 18;
         auto ta = random_triples(rng, inner, n, 90);
@@ -154,7 +163,7 @@ TEST_P(TransAP, SimultaneousUpdatesOfBothOperands) {
             auto Astar_full = build_update_matrix(grid, inner, n, feed(ta));
             DistDcsr<double> b_empty(grid, inner, m);
             dynamic_spgemm_algebraic_transA<PlusTimes<double>>(
-                C, A0, Astar_full, B, b_empty);
+                C, A0, Astar_full, B, b_empty, dopts);
         }
         CoordMap am = as_map(ta), bm = as_map(tb);
         for (int batch = 0; batch < 2; ++batch) {
@@ -165,10 +174,10 @@ TEST_P(TransAP, SimultaneousUpdatesOfBothOperands) {
             auto Astar = build_update_matrix(grid, inner, n, feed(ua));
             auto Bstar = build_update_matrix(grid, inner, m, feed(ub));
             // C* = A*^T B' + A^T B*: B updated first, A afterwards.
-            core::add_update<PlusTimes<double>>(B, Bstar);
+            core::add_update<PlusTimes<double>>(B, Bstar, pool.get());
             dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Astar, B,
-                                                               Bstar);
-            core::add_update<PlusTimes<double>>(A, Astar);
+                                                               Bstar, dopts);
+            core::add_update<PlusTimes<double>>(A, Astar, pool.get());
             am = reference_add<PlusTimes<double>>(am, ua);
             bm = reference_add<PlusTimes<double>>(bm, ub);
             test::expect_matches(C, reference_transposed(am, bm));
@@ -180,6 +189,9 @@ TEST_P(TransAP, CstarOutCollectsExactlyTheDelta) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(950);
         const index_t n = 20;
         auto ta = random_triples(rng, n, n, 80);
@@ -198,7 +210,7 @@ TEST_P(TransAP, CstarOutCollectsExactlyTheDelta) {
         DistDcsr<double> Bstar(grid, n, n);
         DistDynamicMatrix<double> cstar(grid, n, n);
         core::dynamic_spgemm_algebraic<PlusTimes<double>>(
-            C, A, Astar, B, Bstar, {}, &cstar);
+            C, A, Astar, B, Bstar, dopts, &cstar);
         // cstar == A* B exactly.
         auto expect = test::reference_multiply<PlusTimes<double>>(
             as_map(upd), as_map(tb));
@@ -227,6 +239,9 @@ TEST_P(TransBP, UpdatesOfBothOperandsMatchRecompute) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(1000);
         const index_t n = 18, m = 20, inner = 22;
         auto ta = random_triples(rng, n, inner, 100);
@@ -247,7 +262,7 @@ TEST_P(TransBP, UpdatesOfBothOperandsMatchRecompute) {
             auto Astar_full = build_update_matrix(grid, n, inner, feed(ta));
             DistDcsr<double> b_empty(grid, m, inner);
             core::dynamic_spgemm_algebraic_transB<PlusTimes<double>>(
-                C, A0, Astar_full, B, b_empty);
+                C, A0, Astar_full, B, b_empty, dopts);
         }
         test::expect_matches(C, reference_transposed_b(am, bm));
 
@@ -259,10 +274,10 @@ TEST_P(TransBP, UpdatesOfBothOperandsMatchRecompute) {
             auto Astar = build_update_matrix(grid, n, inner, feed(ua));
             auto Bstar = build_update_matrix(grid, m, inner, feed(ub));
             // C* = A* B'^T + A B*^T: update B first, A afterwards.
-            core::add_update<PlusTimes<double>>(B, Bstar);
+            core::add_update<PlusTimes<double>>(B, Bstar, pool.get());
             core::dynamic_spgemm_algebraic_transB<PlusTimes<double>>(
-                C, A, Astar, B, Bstar);
-            core::add_update<PlusTimes<double>>(A, Astar);
+                C, A, Astar, B, Bstar, dopts);
+            core::add_update<PlusTimes<double>>(A, Astar, pool.get());
             am = reference_add<PlusTimes<double>>(am, ua);
             bm = reference_add<PlusTimes<double>>(bm, ub);
             test::expect_matches(C, reference_transposed_b(am, bm));
@@ -276,6 +291,9 @@ TEST_P(TransBP, RightOnlyUpdateIsTheOuterProductCase) {
     const GridCase gc = GetParam();
     run_world(gc.p(), [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
         std::mt19937_64 rng(1100);
         const index_t n = 16, m = 16, inner = 16;
         auto ta = random_triples(rng, n, inner, 80);
@@ -294,9 +312,9 @@ TEST_P(TransBP, RightOnlyUpdateIsTheOuterProductCase) {
             sparse::combine_duplicates<PlusTimes<double>>(ub);
             auto Bstar = build_update_matrix(grid, m, inner, feed(ub));
             DistDcsr<double> Astar(grid, n, inner);
-            core::add_update<PlusTimes<double>>(B, Bstar);
+            core::add_update<PlusTimes<double>>(B, Bstar, pool.get());
             core::dynamic_spgemm_algebraic_transB<PlusTimes<double>>(
-                C, A, Astar, B, Bstar);
+                C, A, Astar, B, Bstar, dopts);
             bm = reference_add<PlusTimes<double>>(bm, ub);
             test::expect_matches(C, reference_transposed_b(am, bm));
         }

@@ -187,9 +187,10 @@ TEST_P(FederateG, EveryRankGetsTheIdenticalClusterView) {
         EXPECT_EQ(rendered[r], rendered[0]) << "rank " << r;
 }
 
-INSTANTIATE_TEST_SUITE_P(GridShapes, FederateG,
-                         ::testing::ValuesIn(dsg::test::grid_shape_cases()),
-                         dsg::test::grid_case_name);
+INSTANTIATE_TEST_SUITE_P(
+    GridShapes, FederateG,
+    ::testing::ValuesIn(dsg::test::grid_shape_cases_sync_only()),
+    dsg::test::grid_case_name);
 
 // End-to-end on the rectangular 2x3 world (and the rest of the sweep):
 // rank 0 runs a real IntrospectionServer whose /metrics provider serves
@@ -234,7 +235,7 @@ TEST_P(FederatedHttpG, Rank0ServesAllRanksOverHttp) {
 
 INSTANTIATE_TEST_SUITE_P(
     GridShapes, FederatedHttpG,
-    ::testing::ValuesIn(dsg::test::grid_shape_cases()),
+    ::testing::ValuesIn(dsg::test::grid_shape_cases_sync_only()),
     dsg::test::grid_case_name);
 
 }  // namespace

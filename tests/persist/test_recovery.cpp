@@ -395,7 +395,7 @@ TEST(Recovery, ResumeContinuesDurablyAcrossRestarts) {
 
 INSTANTIATE_TEST_SUITE_P(
     GridShapes, RecoveryG,
-    ::testing::ValuesIn(dsg::test::grid_shape_cases()),
+    ::testing::ValuesIn(dsg::test::grid_shape_cases_sync_only()),
     dsg::test::grid_case_name);
 
 TEST(Recovery, ColdDirectoryRecoversToEmptyVersionZero) {

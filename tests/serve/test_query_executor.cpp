@@ -42,6 +42,7 @@ void populate(serve::SnapshotStore<double>& store, bool with_hub,
               const GridCase& gc = {2, 2}) {
     par::run_world(gc.p(), [&](par::Comm& comm) {
         core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
+        auto pool = dsg::test::make_pool(gc);
         core::DistDynamicMatrix<double> A(grid, kN, kN);
 
         analytics::AnalyticsHub<double> hub;
@@ -49,6 +50,7 @@ void populate(serve::SnapshotStore<double>& store, bool with_hub,
             hub.emplace<analytics::LiveTriangleMaintainer>(grid, kN);
 
         stream::EngineConfig cfg;
+        cfg.pool = pool.get();
         cfg.epoch_batch = 1 << 12;
         Engine engine(A, cfg);
         if (with_hub) hub.attach(engine);

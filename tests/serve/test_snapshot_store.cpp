@@ -79,9 +79,11 @@ TEST_P(SnapshotStoreG, PublishedVersionsAreImmutablePerEpochImages) {
 
     par::run_world(gc.p(), [&](par::Comm& comm) {
         core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
+        auto pool = dsg::test::make_pool(gc);
         const index_t n = 32;
         core::DistDynamicMatrix<double> A(grid, n, n);
         stream::EngineConfig cfg;
+        cfg.pool = pool.get();
         cfg.epoch_batch = 1;
         Engine engine(A, cfg);
         store.attach(engine, A);
@@ -251,9 +253,11 @@ TEST_P(SnapshotStoreG, QueriesMatchBruteForceReference) {
 
     par::run_world(gc.p(), [&](par::Comm& comm) {
         core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
+        auto pool = dsg::test::make_pool(gc);
         const index_t n = 48;
         core::DistDynamicMatrix<double> A(grid, n, n);
         stream::EngineConfig cfg;
+        cfg.pool = pool.get();
         cfg.epoch_batch = 256;
         Engine engine(A, cfg);
         store.attach(engine, A);

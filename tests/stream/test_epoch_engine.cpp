@@ -36,6 +36,7 @@ TEST_P(EpochEngineG, AppliesAllThreeKindsInOneEpoch) {
     const GridCase gc = GetParam();
     par::run_world(gc.p(), [&](par::Comm& comm) {
         core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
+        auto pool = dsg::test::make_pool(gc);
         const index_t n = 64;
         core::DistDynamicMatrix<double> A(grid, n, n);
 
@@ -43,6 +44,7 @@ TEST_P(EpochEngineG, AppliesAllThreeKindsInOneEpoch) {
         // the expected state is independent of cross-rank apply order.
         const auto r = static_cast<index_t>(comm.rank());
         stream::EngineConfig cfg;
+        cfg.pool = pool.get();
         cfg.epoch_batch = 1 << 12;  // everything fits in one epoch
         Engine engine(A, cfg);
         auto& q = engine.queue();
@@ -76,6 +78,7 @@ TEST_P(EpochEngineG, ConcurrentProducersMatchSequentialReference) {
     constexpr int kProducers = 3;
     par::run_world(gc.p(), [&](par::Comm& comm) {
         core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
+        auto pool = dsg::test::make_pool(gc);
         const index_t n = 512;
 
         stream::WorkloadConfig wl;
@@ -86,6 +89,7 @@ TEST_P(EpochEngineG, ConcurrentProducersMatchSequentialReference) {
 
         core::DistDynamicMatrix<double> A(grid, n, n);
         stream::EngineConfig cfg;
+        cfg.pool = pool.get();
         cfg.queue_capacity = 1 << 10;  // force many epochs + backpressure
         cfg.epoch_batch = 512;
         cfg.epoch_deadline = std::chrono::milliseconds(2);
@@ -347,9 +351,11 @@ TEST_P(EpochEngineG, OverlapPersistMatchesInlineWal) {
         std::vector<CoordMap> finals(static_cast<std::size_t>(gc.p()));
         par::run_world(gc.p(), [&](par::Comm& comm) {
             core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
+            auto pool = dsg::test::make_pool(gc);
             const index_t n = 96;
             core::DistDynamicMatrix<double> A(grid, n, n);
             stream::EngineConfig cfg;
+            cfg.pool = pool.get();
             cfg.overlap_persist = overlap;
             cfg.epoch_batch = 32;
             cfg.epoch_deadline = std::chrono::milliseconds(1);
