@@ -2,12 +2,18 @@
 //
 // Protocol (Section VII-B b): insert half the non-zeros up front (untimed),
 // then stream batches drawn from the remaining half. Batch size is per rank.
+// Each cell is timed on kTrials fresh batches; one trial's time is the mean
+// over the representative instances, and the table prints the median trial
+// with the min-max range.
 // Paper result: ours beats CombBLAS 3.63x (largest batches) to 227.68x
 // (smallest); CTF >= 55.15x slower, PETSc >= 460.83x slower. The speedup
 // *decreases* with batch size because the competitors' full rebuild
 // amortizes better over denser update matrices.
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "baseline/static_rebuild.hpp"
 #include "bench_common.hpp"
@@ -18,17 +24,21 @@ using namespace dsg::bench;
 namespace {
 
 constexpr int kRanks = 4;
-constexpr int kBatches = 4;
+constexpr int kTrials = 5;
 // Scaled from the paper's 1024..131072 (the ~2^12 instance scale-down
 // shifts the sweep window down by ~2^5).
 const std::size_t kBatchSizes[] = {256, 512, 1024, 2048, 4096, 8192};
 
 // Our path and the three competitors, in table order.
 constexpr int kImpls = 4;
+constexpr std::array<const char*, kImpls> kImplKeys = {"ours", "combblas",
+                                                       "ctf", "petsc"};
 using Times = std::array<double, kImpls>;
 
-Times run_one(const Instance& inst, std::size_t batch_size) {
-    Times t{};
+/// One Times per trial: every implementation inserts the trial's fresh
+/// batch.
+std::vector<Times> run_one(const Instance& inst, std::size_t batch_size) {
+    std::vector<Times> t(kTrials);
     par::run_world(kRanks, [&](par::Comm& comm) {
         core::ProcessGrid grid(comm);
         const index_t n = index_t{1} << inst.scale;
@@ -43,8 +53,7 @@ Times run_one(const Instance& inst, std::size_t batch_size) {
         baseline::PreallocCsrMatrix<double> petsc(grid, n, n);
         petsc.construct<sparse::PlusTimes<double>>(stream.initial);
 
-        Times sum{};
-        for (int b = 0; b < kBatches; ++b) {
+        for (int b = 0; b < kTrials; ++b) {
             const auto batch =
                 stream.batch(static_cast<std::size_t>(b), batch_size);
             const std::array<std::function<void()>, kImpls> insert = {
@@ -60,42 +69,62 @@ Times run_one(const Instance& inst, std::size_t batch_size) {
             // no column always pays (or is spared) the cold-cache run.
             for (int k = 0; k < kImpls; ++k) {
                 const auto impl = static_cast<std::size_t>((b + k) % kImpls);
-                sum[impl] += timed_ms(comm, insert[impl]);
+                const double ms = timed_ms(comm, insert[impl]);
+                if (comm.rank() == 0) t[static_cast<std::size_t>(b)][impl] = ms;
             }
         }
-        if (comm.rank() == 0)
-            for (std::size_t k = 0; k < sum.size(); ++k)
-                t[k] = sum[k] / kBatches;
     });
     return t;
+}
+
+struct Spread {
+    double median, min, max;
+};
+
+Spread spread(std::vector<double> xs) {
+    std::sort(xs.begin(), xs.end());
+    return {xs[xs.size() / 2], xs.front(), xs.back()};
 }
 
 }  // namespace
 
 int main() {
-    print_header("Figure 4: mean insertion time vs batch size (per rank)",
+    print_header("Figure 4: insertion time vs batch size (per rank)",
                  "Fig. 4");
-    std::printf("%-10s | %9s %9s %9s %9s | %9s %7s %7s\n", "batch", "ours",
-                "CombBLAS", "CTF", "PETSc", "vs CombB", "vs CTF", "vs PETSc");
+    std::printf("ms per batch: median of %d trials [min-max]\n", kTrials);
+    std::printf("%-6s | %-20s %-20s %-20s %-20s | %8s %7s %7s\n", "batch",
+                "ours", "CombBLAS", "CTF", "PETSc", "vs CombB", "vs CTF",
+                "vs PETSc");
+    const auto instances = representative_instances();
     for (std::size_t bs : kBatchSizes) {
-        Times mean{};
-        int count = 0;
-        for (const auto& inst : representative_instances()) {
-            const Times t = run_one(inst, bs);
-            for (std::size_t k = 0; k < mean.size(); ++k) mean[k] += t[k];
-            ++count;
+        const auto n_instances = static_cast<double>(instances.size());
+        std::vector<Times> trials(kTrials, Times{});
+        for (const auto& inst : instances) {
+            const auto t = run_one(inst, bs);
+            for (std::size_t b = 0; b < trials.size(); ++b)
+                for (std::size_t k = 0; k < kImpls; ++k)
+                    trials[b][k] += t[b][k] / n_instances;
         }
-        for (auto& m : mean) m /= count;
-        const auto [ours, cb, ct, pe] = mean;
-        std::printf(
-            "%-10zu | %7.2fms %7.2fms %7.2fms %7.2fms | %8.1fx %6.1fx %6.1fx\n",
-            bs, ours, cb, ct, pe, cb / ours, ct / ours, pe / ours);
+        std::array<Spread, kImpls> cell{};
+        for (std::size_t k = 0; k < kImpls; ++k) {
+            std::vector<double> xs;
+            for (const auto& tr : trials) xs.push_back(tr[k]);
+            cell[k] = spread(std::move(xs));
+        }
+        std::printf("%-6zu |", bs);
+        for (const auto& c : cell)
+            std::printf(" %6.2f [%5.2f-%5.2f]", c.median, c.min, c.max);
+        const double ours = cell[0].median;
+        std::printf(" | %7.1fx %6.1fx %6.1fx\n", cell[1].median / ours,
+                    cell[2].median / ours, cell[3].median / ours);
         JsonRecord rec("bench_fig4_insertions");
-        rec.field("batch", bs)
-            .field("ours_ms", ours)
-            .field("combblas_ms", cb)
-            .field("ctf_ms", ct)
-            .field("petsc_ms", pe);
+        rec.field("batch", bs).field("trials", kTrials);
+        for (std::size_t k = 0; k < kImpls; ++k) {
+            const std::string key = kImplKeys[k];
+            rec.field((key + "_ms").c_str(), cell[k].median)
+                .field((key + "_min_ms").c_str(), cell[k].min)
+                .field((key + "_max_ms").c_str(), cell[k].max);
+        }
         json_record(rec);
     }
     std::printf(

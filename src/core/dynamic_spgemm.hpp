@@ -27,17 +27,24 @@
 //   Y rounds (one per grid col b):   A_{i,j} times the M^c_b column slice of
 //     the B* slab, posted for tree reduction over the process row onto
 //     rank (i,b).
-//   Post all partials, then complete: every rank computes and posts all its
-//   X and Y partials before it completes any reduction, then completes them
-//   in post order and absorbs each reduced block it owns. A leaf's partial
-//   is forwarded at post time, so no rank's multiply waits behind another
-//   rank's merge and absorb. Merge order (the binomial tree) and absorb
-//   order (X by a, then Y by b) do not depend on when partials are posted.
+//   The root folds, interior nodes merge: every rank computes and posts all
+//   its X and Y partials before it completes any reduction. A round's root
+//   adds its own partial straight into the output at post time and posts an
+//   empty buffer; a leaf forwards its partial at post time, so no rank's
+//   multiply waits behind another rank's merge. The reductions then
+//   complete in post order: interior tree nodes merge their subtree's
+//   partials on the wire and forward them, and the root adds each subtree
+//   buffer it receives straight into the output, so no reduced block is
+//   merged into one buffer and deserialized again. The output thus becomes
+//   (C + own) + received, in binomial-tree order — deterministic, though a
+//   different floating-point rounding than C + (own + received).
 //
 // Communication volume is O((nnz(A*) + nnz(B*) + nnz(C*)) / sqrt(p)) versus
 // SUMMA's O((nnz(A) + nnz(B')) / sqrt(p)).
 #pragma once
 
+#include <cassert>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -92,14 +99,17 @@ std::vector<Triple<T>> allgather_triples(par::Comm& comm,
 /// COMPUTEPATTERN. MultX(a_slice, a) receives the N^r_a x K^r_i slice of the
 /// A* slab; MultY(b_slice, b) the K^c_j x M^c_b slice of the B* slab; both
 /// produce local partial products (Dcsr<V>). AddV combines overlapping
-/// entries in the tree reduction; AbsorbX/AbsorbY consume the fully reduced
-/// X_{a,j} / Y_{i,b} on their owner rank.
+/// entries where interior tree nodes merge; Absorb adds a block of the owned
+/// X_{a,j} / Y_{i,b} into the output on the round's root: first the root's
+/// own partial (at post time, timed as LocalAddition), then every subtree
+/// buffer it receives (inside the wait, timed as ReduceScatter). Absorb
+/// writes the output between multiplies, so the output must not alias an
+/// operand the multiplies read.
 template <typename T, typename V, typename MultX, typename MultY,
-          typename AddV, typename AbsorbX, typename AbsorbY>
+          typename AddV, typename Absorb>
 void algebraic_rounds(ProcessGrid& grid, const DistDcsr<T>& Astar,
                       const DistDcsr<T>& Bstar, MultX&& mult_x,
-                      MultY&& mult_y, AddV&& add_v, AbsorbX&& absorb_x,
-                      AbsorbY&& absorb_y) {
+                      MultY&& mult_y, AddV&& add_v, Absorb&& absorb) {
     using par::Phase;
     using par::Profiler;
     const int rows = grid.rows();
@@ -151,12 +161,16 @@ void algebraic_rounds(ProcessGrid& grid, const DistDcsr<T>& Astar,
 
     // ---- Post every round's partial before completing any reduction: X
     // rounds onto (a, j) down the process column, then Y rounds onto (i, b)
-    // along the process row.
+    // along the process row. The root keeps its own partial out of the
+    // reduction and absorbs it here.
     std::vector<par::Comm::PendingReduce> pending;
     pending.reserve(static_cast<std::size_t>(rows + cols));
     auto post = [&](par::Comm& comm, int root, const Dcsr<V>& part) {
         par::Buffer wire;
-        {
+        if (comm.rank() == root) {
+            Profiler::Scope scope(Phase::LocalAddition);
+            absorb(part);
+        } else {
             Profiler::Scope scope(Phase::Scatter);
             wire = part.serialize();
         }
@@ -184,21 +198,23 @@ void algebraic_rounds(ProcessGrid& grid, const DistDcsr<T>& Astar,
         post(grid.row_comm(), b, y_part);
     }
 
-    // ---- Complete in post order (interior tree nodes merge and forward
-    // inside wait()); each owner absorbs its reduced X_{a,j} / Y_{i,b}.
-    auto merge = [&](par::Buffer a, par::Buffer b) {
+    // ---- Complete in post order: interior tree nodes merge and forward
+    // inside wait(); the root absorbs each subtree buffer as it arrives and
+    // keeps its own accumulator empty.
+    using Merge = std::function<par::Buffer(par::Buffer, par::Buffer)>;
+    const Merge merge = [&](par::Buffer a, par::Buffer b) {
         return sparse::dcsr_add_wire<V>(a, b, add_v);
     };
+    const Merge fold = [&](par::Buffer acc, par::Buffer received) {
+        absorb(Dcsr<V>::deserialize(received));
+        return acc;
+    };
     Profiler::Scope scope(Phase::ReduceScatter);
-    for (int a = 0; a < rows; ++a) {
-        par::Buffer xr = pending[static_cast<std::size_t>(a)].wait(merge);
-        if (i == a) absorb_x(Dcsr<V>::deserialize(xr));
-    }
-    for (int b = 0; b < cols; ++b) {
-        par::Buffer yr =
-            pending[static_cast<std::size_t>(rows + b)].wait(merge);
-        if (j == b) absorb_y(Dcsr<V>::deserialize(yr));
-    }
+    for (int a = 0; a < rows; ++a)
+        pending[static_cast<std::size_t>(a)].wait(i == a ? fold : merge);
+    for (int b = 0; b < cols; ++b)
+        pending[static_cast<std::size_t>(rows + b)].wait(j == b ? fold
+                                                                : merge);
 }
 
 /// Scatters a reduced partial block whose rows or columns follow the "wrong"
@@ -218,7 +234,8 @@ void send_pieces(ProcessGrid& grid,
 
 /// Algorithm 1: C <- C + A* B' + A B* over SR. A is the matrix *before* the
 /// update, Bprime the one *after*; Astar/Bstar are the hypersparse update
-/// matrices (semiring addition semantics). Collective.
+/// matrices (semiring addition semantics). C is written between the local
+/// multiplies, so it must not alias A or Bprime. Collective.
 template <sparse::Semiring SR, typename T = typename SR::value_type>
 void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
                               const DistDynamicMatrix<T>& A,
@@ -230,18 +247,20 @@ void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
     ProcessGrid& grid = C.shape().grid();
     const auto& rp = C.shape().row_partition();
     const auto& cp = C.shape().col_partition();
+    assert(&C != &A && &C != &Bprime);
     sparse::SpgemmOptions sopts;
     sopts.pool = opts.pool;
 
-    auto absorb = [&](const Dcsr<T>& reduced) {
-        par::Profiler::Scope scope(par::Phase::LocalAddition);
-        reduced.for_each([&](index_t u, index_t v, const T& x) {
-            C.local().insert_or_add(u, v, x, SR::add);
+    auto absorb = [&](const Dcsr<T>& part) {
+        for (std::size_t r = 0; r < part.row_count(); ++r) {
+            C.local().add_row(part.row_id(r), part.row_cols(r),
+                              part.row_values(r), SR::add);
             // Optionally collect C* itself (distributed), e.g. to feed the
             // next stage of a chained product (graph contraction).
             if (cstar_out != nullptr)
-                cstar_out->local().insert_or_add(u, v, x, SR::add);
-        });
+                cstar_out->local().add_row(part.row_id(r), part.row_cols(r),
+                                           part.row_values(r), SR::add);
+        }
     };
     detail::algebraic_rounds<T, T>(
         grid, Astar, Bstar,
@@ -257,7 +276,7 @@ void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
                                       sparse::as_left(A.local()),
                                       sparse::as_right(b_slice), sopts);
         },
-        [](const T& a, const T& b) { return SR::add(a, b); }, absorb, absorb);
+        [](const T& a, const T& b) { return SR::add(a, b); }, absorb);
 }
 
 /// Algorithm 1 with a transposed left operand (Section V-C):
@@ -550,7 +569,9 @@ void dynamic_spgemm_algebraic_transB(DistDynamicMatrix<T>& C,
 /// COMPUTEPATTERN (Section V-B): the sparsity structure of
 /// C* = A* B' + A B*, with each entry carrying the F* Bloom bitfield (bit
 /// (k mod 64) set iff inner index k contributes). Numerical values of the
-/// operands are ignored. Returns the distributed pattern matrix. Collective.
+/// operands are ignored. Returns the distributed pattern matrix, a fresh
+/// one, so it cannot alias A or Bprime, which the local multiplies read
+/// while it is being written. Collective.
 template <typename T>
 DistDynamicMatrix<std::uint64_t> compute_pattern(
     const DistDynamicMatrix<T>& A, const DistDcsr<T>& Astar,
@@ -565,11 +586,10 @@ DistDynamicMatrix<std::uint64_t> compute_pattern(
     const BlockPartition kc = grid.col_partition(A.shape().ncols());
     auto bits_or = [](std::uint64_t a, std::uint64_t b) { return a | b; };
 
-    auto absorb = [&](const Dcsr<std::uint64_t>& reduced) {
-        par::Profiler::Scope scope(par::Phase::LocalAddition);
-        reduced.for_each([&](index_t u, index_t v, std::uint64_t bits) {
-            cstar.local().insert_or_add(u, v, bits, bits_or);
-        });
+    auto absorb = [&](const Dcsr<std::uint64_t>& part) {
+        for (std::size_t r = 0; r < part.row_count(); ++r)
+            cstar.local().add_row(part.row_id(r), part.row_cols(r),
+                                  part.row_values(r), bits_or);
     };
     detail::algebraic_rounds<T, std::uint64_t>(
         grid, Astar, Bstar,
@@ -594,7 +614,7 @@ DistDynamicMatrix<std::uint64_t> compute_pattern(
                                           sparse::as_left(A.local()),
                                           sparse::as_right(b_slice), sopts);
         },
-        bits_or, absorb, absorb);
+        bits_or, absorb);
     return cstar;
 }
 

@@ -64,7 +64,9 @@ Dcsr<V> dcsr_add(const Dcsr<V>& a, const Dcsr<V>& b, AddOp&& add) {
 }
 
 /// dcsr_add on serialized blocks: the merge callback of the binomial-tree
-/// sparse reduction (par::Comm::reduce_merge / ireduce_merge).
+/// sparse reduction (par::Comm::reduce_merge / ireduce_merge). Algorithm 1
+/// runs it on interior tree nodes only; its roots add what they receive
+/// straight into C (core::detail::algebraic_rounds).
 template <typename V, typename AddOp>
 par::Buffer dcsr_add_wire(const par::Buffer& a, const par::Buffer& b,
                           AddOp&& add) {

@@ -49,6 +49,10 @@ public:
         v_.fetch_sub(1, std::memory_order_relaxed);
         return *this;
     }
+    RelaxedCounter& operator+=(std::size_t n) {
+        v_.fetch_add(n, std::memory_order_relaxed);
+        return *this;
+    }
     [[nodiscard]] std::size_t get() const {
         return v_.load(std::memory_order_relaxed);
     }
@@ -104,6 +108,35 @@ public:
         return upsert(i, j, value, [&](T& existing) {
             existing = add(existing, value);
         });
+    }
+
+    /// insert_or_add of every (i, cols[x], vals[x]); cols must be distinct.
+    /// An empty row i takes the whole row at once: one reserve and at most
+    /// one index build, sized to the row. Algorithm 1 absorbs each reduced
+    /// row of C* with one call.
+    template <typename AddFn>
+    void add_row(index_t i, std::span<const index_t> cols,
+                 std::span<const T> vals, AddFn&& add) {
+        assert(i >= 0 && i < nrows_ && cols.size() == vals.size());
+        auto& row = rows_[static_cast<std::size_t>(i)];
+        if (!row.entries.empty()) {
+            for (std::size_t x = 0; x < cols.size(); ++x)
+                insert_or_add(i, cols[x], vals[x], add);
+            return;
+        }
+        row.entries.reserve(cols.size());
+        for (std::size_t x = 0; x < cols.size(); ++x) {
+            assert(cols[x] >= 0 && cols[x] < ncols_);
+            row.entries.push_back({cols[x], vals[x]});
+        }
+        nnz_ += cols.size();
+        if (cols.size() > kIndexThreshold) {
+            // reserve(e) leaves room for e + 1 keys; the row holds exactly
+            // cols.size(), as many as insert_or_add's growth would allow.
+            row.index.reserve(cols.size() - 1);
+            for (std::size_t k = 0; k < cols.size(); ++k)
+                row.index.get_or_insert(cols[k], static_cast<std::uint32_t>(k));
+        }
     }
 
     /// Removes (i, j); returns whether it existed. O(1) expected.

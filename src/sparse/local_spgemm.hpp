@@ -37,6 +37,9 @@ struct CsrLeft {
     [[nodiscard]] index_t row_id(std::size_t slot) const {
         return static_cast<index_t>(slot);
     }
+    [[nodiscard]] std::size_t row_size(std::size_t slot) const {
+        return m.row_cols(static_cast<index_t>(slot)).size();
+    }
     template <typename G>
     void entries(std::size_t slot, G&& g) const {
         const auto i = static_cast<index_t>(slot);
@@ -51,6 +54,9 @@ struct DcsrLeft {
     const Dcsr<T>& m;
     [[nodiscard]] std::size_t stream_count() const { return m.row_count(); }
     [[nodiscard]] index_t row_id(std::size_t slot) const { return m.row_id(slot); }
+    [[nodiscard]] std::size_t row_size(std::size_t slot) const {
+        return m.row_cols(slot).size();
+    }
     template <typename G>
     void entries(std::size_t slot, G&& g) const {
         auto cols = m.row_cols(slot);
@@ -68,6 +74,9 @@ struct DynLeft {
     [[nodiscard]] index_t row_id(std::size_t slot) const {
         return static_cast<index_t>(slot);
     }
+    [[nodiscard]] std::size_t row_size(std::size_t slot) const {
+        return m.row_size(static_cast<index_t>(slot));
+    }
     template <typename G>
     void entries(std::size_t slot, G&& g) const {
         for (const auto& e : m.row(static_cast<index_t>(slot))) g(e.col, e.value);
@@ -82,9 +91,14 @@ template <typename T>
 DynLeft<T> as_left(const DynamicMatrix<T>& m) { return {m}; }
 
 // -- right-operand adapters (row lookup) ----------------------------------------
+//
+// kDistinctCols: whether every row the adapter yields has pairwise-distinct
+// columns. A DynamicMatrix row does by construction; CSR and DCSR blocks may
+// carry duplicate coordinates (update slabs keep them uncombined).
 
 template <typename T>
 struct CsrRight {
+    static constexpr bool kDistinctCols = false;
     const Csr<T>& m;
     template <typename G>
     void row(index_t k, G&& g) const {
@@ -96,6 +110,7 @@ struct CsrRight {
 
 template <typename T>
 struct DynRight {
+    static constexpr bool kDistinctCols = true;
     const DynamicMatrix<T>& m;
     template <typename G>
     void row(index_t k, G&& g) const {
@@ -106,6 +121,7 @@ struct DynRight {
 /// Right access into a DCSR via a transient row-id hash (see dcsr.hpp).
 template <typename T>
 struct DcsrRight {
+    static constexpr bool kDistinctCols = false;
     DcsrRowLookup<T> lookup;
     explicit DcsrRight(const Dcsr<T>& m) : lookup(m) {}
     template <typename G>
@@ -156,6 +172,23 @@ void spgemm_chunk(const Left& A, const Right& B, AddOp& add, TermFn& term,
                   std::size_t slot_begin, std::size_t slot_end, Dcsr<V>& out) {
     for (std::size_t s = slot_begin; s < slot_end; ++s) {
         const index_t i = A.row_id(s);
+        if constexpr (Right::kDistinctCols) {
+            if (A.row_size(s) == 1) {
+                // One left entry over a right row with distinct columns:
+                // every term lands in its own output column, so the row is
+                // written directly, bypassing the accumulator.
+                out.begin_row(i);
+                A.entries(s, [&](index_t k, const auto& a) {
+                    B.row(k, [&](index_t j, const auto& b) {
+                        if (opts.mask != nullptr && !opts.mask->contains(i, j))
+                            return;
+                        out.push_entry(j, term(a, b, k + opts.inner_offset));
+                    });
+                });
+                out.end_row();
+                continue;
+            }
+        }
         A.entries(s, [&](index_t k, const auto& a) {
             B.row(k, [&](index_t j, const auto& b) {
                 if (opts.mask != nullptr && !opts.mask->contains(i, j)) return;

@@ -120,6 +120,68 @@ TEST_P(DynSpgemmP, SimultaneousUpdatesOfBothOperands) {
     });
 }
 
+// build_update_matrix keeps duplicate coordinates, so the A* and B* slabs
+// may repeat an entry (within one rank's feed and across ranks). Products
+// against the B* slab, whose rows can repeat a column, must still combine
+// them; the 1x4 shape also runs an interior tree node's merge. Sparse A and
+// B leave many single-entry rows in A and empty rows in C, where an
+// uncombined duplicate would land in C as a second entry.
+TEST_P(DynSpgemmP, DuplicateUpdateCoordinatesMatchRecompute) {
+    const GridCase gc = GetParam();
+    run_world(gc.p(), [&](Comm& c) {
+        ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        core::DynamicSpgemmOptions dopts;
+        dopts.pool = pool.get();
+        std::mt19937_64 rng(250);
+        const index_t n = 20;
+        auto ta = random_triples(rng, n, n, 30);
+        auto tb = random_triples(rng, n, n, 40);
+        sparse::combine_duplicates<PlusTimes<double>>(ta);
+        sparse::combine_duplicates<PlusTimes<double>>(tb);
+        auto feed0 = [&](const std::vector<Triple<double>>& ts) {
+            return c.rank() == 0 ? ts : std::vector<Triple<double>>{};
+        };
+        // Rank r feeds every p-th update, so a repeated coordinate may
+        // arrive from two ranks.
+        auto feed_spread = [&](const std::vector<Triple<double>>& ts) {
+            std::vector<Triple<double>> mine;
+            for (std::size_t x = 0; x < ts.size(); ++x)
+                if (static_cast<int>(x) % c.size() == c.rank())
+                    mine.push_back(ts[x]);
+            return mine;
+        };
+        auto A = build_dynamic_matrix<PlusTimes<double>>(grid, n, n, feed0(ta));
+        auto B = build_dynamic_matrix<PlusTimes<double>>(grid, n, n, feed0(tb));
+        auto C = summa_multiply<PlusTimes<double>>(A, B);
+        CoordMap am = as_map(ta), bm = as_map(tb);
+
+        for (int batch = 0; batch < 3; ++batch) {
+            auto ua = random_triples(rng, n, n, 16, -4.0, 4.0);
+            auto ub = random_triples(rng, n, n, 16, -4.0, 4.0);
+            // Repeat every third coordinate with a fresh value.
+            for (auto* u : {&ua, &ub}) {
+                const std::size_t len = u->size();
+                for (std::size_t x = 0; x < len; x += 3) {
+                    auto dup = (*u)[x];
+                    dup.value = 0.5 + static_cast<double>(x % 7);
+                    u->push_back(dup);
+                }
+            }
+            auto Astar = build_update_matrix(grid, n, n, feed_spread(ua));
+            auto Bstar = build_update_matrix(grid, n, n, feed_spread(ub));
+            core::add_update<PlusTimes<double>>(B, Bstar, pool.get());
+            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar,
+                                                        dopts);
+            core::add_update<PlusTimes<double>>(A, Astar, pool.get());
+            am = reference_add<PlusTimes<double>>(am, ua);
+            bm = reference_add<PlusTimes<double>>(bm, ub);
+            test::expect_matches(
+                C, reference_multiply<PlusTimes<double>>(am, bm));
+        }
+    });
+}
+
 TEST_P(DynSpgemmP, RingDeletionsViaNegativeUpdates) {
     // In a ring, deleting a_{ij} is the algebraic update a* = -a_{ij}.
     const GridCase gc = GetParam();

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <random>
+#include <vector>
 
 #include "sparse/dynamic_matrix.hpp"
 
@@ -140,6 +141,68 @@ TEST(DynamicMatrix, MemoryBytesGrowsWithContent) {
     for (index_t i = 0; i < 100; ++i)
         for (index_t j = 0; j < 20; ++j) m.insert_or_assign(i, j, 1.0);
     EXPECT_GT(m.memory_bytes(), before);
+}
+
+// add_row into an empty row takes the row in one piece: past the index
+// threshold the hash index is built once, every column is found, and the
+// row costs no more memory than the same row inserted entry by entry.
+TEST(DynamicMatrix, AddRowIntoEmptyRowCrossesIndexThreshold) {
+    constexpr auto kThreshold = DynamicMatrix<double>::kIndexThreshold;
+    auto add = [](double a, double b) { return a + b; };
+    for (std::size_t len = 1; len <= 6 * kThreshold; ++len) {
+        std::vector<index_t> cols;
+        std::vector<double> vals;
+        for (std::size_t x = 0; x < len; ++x) {
+            cols.push_back(static_cast<index_t>((x * 37) % 101));
+            vals.push_back(0.5 + static_cast<double>(x));
+        }
+        DynamicMatrix<double> bulk(3, 103), single(3, 103);
+        bulk.add_row(1, cols, vals, add);
+        for (std::size_t x = 0; x < len; ++x)
+            single.insert_or_add(1, cols[x], vals[x], add);
+        ASSERT_EQ(bulk.nnz(), len);
+        EXPECT_EQ(bulk.row_size(1), len);
+        for (std::size_t x = 0; x < len; ++x) {
+            const double* v = bulk.find(1, cols[x]);
+            ASSERT_NE(v, nullptr) << "len " << len << " col " << cols[x];
+            EXPECT_EQ(*v, vals[x]);
+        }
+        EXPECT_EQ(bulk.find(1, 102), nullptr);
+        EXPECT_LE(bulk.memory_bytes(), single.memory_bytes()) << "len " << len;
+        // The row stays fully usable after the bulk path.
+        EXPECT_TRUE(bulk.insert_or_add(1, 102, 2.0, add));
+        EXPECT_TRUE(bulk.erase(1, cols[0]));
+        EXPECT_EQ(bulk.nnz(), len);
+        EXPECT_NE(bulk.find(1, 102), nullptr);
+    }
+}
+
+// Into a non-empty row, add_row is insert_or_add entry by entry.
+TEST(DynamicMatrix, AddRowIntoNonEmptyRowEqualsInsertOrAdd) {
+    auto add = [](double a, double b) { return a + b; };
+    for (const index_t seed_len : {3, 20}) {
+        DynamicMatrix<double> bulk(2, 64), single(2, 64);
+        for (index_t j = 0; j < seed_len; ++j) {
+            bulk.insert_or_assign(0, 2 * j, 1.0);
+            single.insert_or_assign(0, 2 * j, 1.0);
+        }
+        std::vector<index_t> cols;
+        std::vector<double> vals;
+        for (index_t j = 0; j < 30; j += 3) {  // hits old and new columns
+            cols.push_back(j);
+            vals.push_back(static_cast<double>(j) + 0.25);
+        }
+        bulk.add_row(0, cols, vals, add);
+        for (std::size_t x = 0; x < cols.size(); ++x)
+            single.insert_or_add(0, cols[x], vals[x], add);
+        EXPECT_EQ(bulk.nnz(), single.nnz());
+        const auto br = bulk.row(0), sr = single.row(0);
+        ASSERT_EQ(br.size(), sr.size());
+        for (std::size_t e = 0; e < br.size(); ++e) {
+            EXPECT_EQ(br[e].col, sr[e].col);
+            EXPECT_EQ(br[e].value, sr[e].value);
+        }
+    }
 }
 
 }  // namespace

@@ -235,6 +235,73 @@ TEST_P(SpgemmThreads, ParallelMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, SpgemmThreads, ::testing::Values(2, 3, 8));
 
+// A left row with one entry skips the accumulator only when the right rows
+// have distinct columns (DynRight); a DCSR update slab may repeat a
+// coordinate, and those terms must still be combined.
+TEST(LocalSpgemm, SingleEntryRowCombinesDuplicateRightColumns) {
+    auto a = Dcsr<double>::from_row_grouped(
+        2, 3, std::vector<Triple<double>>{{0, 1, 2.0}, {1, 1, 5.0}});
+    auto b = Dcsr<double>::from_row_grouped(
+        3, 4,
+        std::vector<Triple<double>>{{1, 3, 1.0}, {1, 0, 4.0}, {1, 3, 6.0}});
+    auto c = spgemm<PlusTimes<double>>(2, 4, as_left(a), as_right(b));
+    EXPECT_EQ(c.nnz(), 4u);
+    const auto m = as_map(c);
+    EXPECT_EQ((m.at({0, 3})), 14.0);  // 2 * (1 + 6)
+    EXPECT_EQ((m.at({0, 0})), 8.0);
+    EXPECT_EQ((m.at({1, 3})), 35.0);
+    EXPECT_EQ((m.at({1, 0})), 20.0);
+}
+
+// The accumulator-free rows (DynRight) produce exactly what the accumulator
+// produces for the same right operand held as a DCSR: row ids, column order
+// and values, with and without a mask, for value and pattern products.
+TEST(LocalSpgemm, SingleEntryRowsMatchAccumulatorBitForBit) {
+    std::mt19937_64 rng(31);
+    const index_t n = 40;
+    std::vector<Triple<double>> ta;
+    for (index_t i = 0; i < n; ++i) {
+        const int len = i % 3 == 0 ? 2 : 1;  // mostly single-entry rows
+        for (int e = 0; e < len; ++e)
+            ta.push_back({i, static_cast<index_t>(rng() % n),
+                          0.1 + static_cast<double>(rng() % 97) / 7.0});
+    }
+    combine_duplicates<PlusTimes<double>>(ta);
+    const auto a = Dcsr<double>::from_row_grouped(n, n, ta);
+    DynamicMatrix<double> bdyn(n, n);
+    for (const auto& t : random_triples(rng, n, n, 400))
+        bdyn.insert_or_assign(t.row, t.col, t.value / 3.0);
+    const auto bdcsr = bdyn.to_dcsr();
+    PairSet mask(n);
+    for (index_t i = 0; i < n; ++i)
+        for (index_t j = i % 2; j < n; j += 2) mask.insert(i, j);
+
+    auto expect_same = [](const auto& x, const auto& y) {
+        ASSERT_EQ(x.row_count(), y.row_count());
+        for (std::size_t r = 0; r < x.row_count(); ++r) {
+            ASSERT_EQ(x.row_id(r), y.row_id(r));
+            const auto xc = x.row_cols(r), yc = y.row_cols(r);
+            const auto xv = x.row_values(r), yv = y.row_values(r);
+            ASSERT_EQ(std::vector<index_t>(xc.begin(), xc.end()),
+                      std::vector<index_t>(yc.begin(), yc.end()));
+            for (std::size_t e = 0; e < xv.size(); ++e)
+                EXPECT_EQ(xv[e], yv[e]);
+        }
+    };
+    for (const PairSet* m : std::vector<const PairSet*>{nullptr, &mask}) {
+        SpgemmOptions opts;
+        opts.mask = m;
+        opts.inner_offset = 5;
+        expect_same(
+            spgemm<PlusTimes<double>>(n, n, as_left(a), as_right(bdyn), opts),
+            spgemm<PlusTimes<double>>(n, n, as_left(a), as_right(bdcsr),
+                                      opts));
+        expect_same(
+            spgemm_pattern(n, n, as_left(a), as_right(bdyn), opts),
+            spgemm_pattern(n, n, as_left(a), as_right(bdcsr), opts));
+    }
+}
+
 TEST(LocalSpgemm, EmptyOperands) {
     Dcsr<double> a(10, 10);
     Csr<double> b(10, 10);
