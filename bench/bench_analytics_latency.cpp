@@ -7,9 +7,11 @@
 // the interesting quantities are the hook's mean/worst latency per epoch,
 // its share of the epoch, and how both move with the epoch batch size and
 // with which maintainers are attached. Traffic is the analytics-read
-// scenario (weighted ADDs, windowed MASKs, derived-value polls). With
-// DSG_BENCH_JSON=<path> every cell is recorded as one JSON object;
-// DSG_BENCH_SCALE shrinks the per-producer write budget (see
+// scenario (weighted ADDs, windowed MASKs, derived-value polls). Each cell
+// is sized by epochs, not writes: a rank's queue holds at most one epoch
+// batch and its producers write kMinEpochs batches, so every cell applies at
+// least kMinEpochs epochs and the hook columns are means over that many.
+// With DSG_BENCH_JSON=<path> every cell is recorded as one JSON object (see
 // docs/BENCHMARKS.md).
 #include <atomic>
 #include <string>
@@ -34,9 +36,10 @@ constexpr int kProducers = 2;  // per rank
 constexpr index_t kN = 1024;
 constexpr index_t kClusters = 16;
 
-std::size_t writes_per_producer() {
-    return std::max<std::size_t>(
-        200, static_cast<std::size_t>(3'000 * bench_scale()));
+constexpr std::size_t kMinEpochs = 20;  // applied epochs per cell, at least
+
+std::size_t writes_per_producer(std::size_t epoch_batch) {
+    return kMinEpochs * epoch_batch / kProducers;
 }
 
 struct MaintainerSet {
@@ -87,12 +90,13 @@ Cell run_cell(const MaintainerSet& set, std::size_t epoch_batch) {
         stream::WorkloadConfig wl;
         wl.scenario = stream::Scenario::AnalyticsRead;
         wl.n = kN;
-        wl.writes = writes_per_producer();
+        wl.writes = writes_per_producer(epoch_batch);
         wl.window = 256;
         wl.read_fraction = 0.2;
         wl.seed = 61 + static_cast<std::uint64_t>(comm.rank());
 
         stream::EngineConfig cfg;
+        cfg.queue_capacity = epoch_batch;  // one drain, at most one batch
         cfg.epoch_batch = epoch_batch;
         cfg.epoch_deadline = std::chrono::milliseconds(10);
         Engine engine(A, cfg);
@@ -159,19 +163,21 @@ Cell run_cell(const MaintainerSet& set, std::size_t epoch_batch) {
 int main() {
     print_header("Live analytics epoch-boundary latency (src/analytics/)",
                  "no figure — maintainer hook cost per epoch");
-    std::printf("%d ranks, %d producers/rank, %zu writes/producer, n = %lld\n\n",
-                kRanks, kProducers, writes_per_producer(),
-                static_cast<long long>(kN));
-    std::printf("%-12s %6s %9s %7s %10s %10s %7s\n", "maintainers", "batch",
-                "ops/s", "epochs", "hook ms", "worst ms", "share");
+    std::printf("%d ranks, %d producers/rank, %zu epoch batches of writes "
+                "per rank, n = %lld\n\n",
+                kRanks, kProducers, kMinEpochs, static_cast<long long>(kN));
+    std::printf("%-12s %6s %9s %7s %8s %10s %10s %7s\n", "maintainers",
+                "batch", "ops/s", "epochs", "applied", "hook ms", "worst ms",
+                "share");
 
     for (const auto& set : kSets) {
         for (std::size_t epoch_batch :
              {std::size_t{512}, std::size_t{2048}, std::size_t{8192}}) {
             const Cell cell = run_cell(set, epoch_batch);
-            std::printf("%-12s %6zu %9.0f %7llu %10.2f %10.2f %6.1f%%\n",
+            std::printf("%-12s %6zu %9.0f %7llu %8llu %10.2f %10.2f %6.1f%%\n",
                         set.name, epoch_batch, cell.ops_per_s,
                         static_cast<unsigned long long>(cell.epochs),
+                        static_cast<unsigned long long>(cell.applied_epochs),
                         cell.hook_mean_ms, cell.hook_max_ms,
                         100.0 * cell.hook_share);
 
@@ -179,7 +185,7 @@ int main() {
             rec.field("maintainers", set.name)
                 .field("ranks", kRanks)
                 .field("producers_per_rank", kProducers)
-                .field("writes_per_producer", writes_per_producer())
+                .field("writes_per_producer", writes_per_producer(epoch_batch))
                 .field("epoch_batch", epoch_batch)
                 .field("elapsed_ms", cell.elapsed_ms)
                 .field("ops_per_s", cell.ops_per_s)

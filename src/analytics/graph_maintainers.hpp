@@ -54,19 +54,6 @@ inline sparse::index_t key_col(std::uint64_t key) {
     return static_cast<sparse::index_t>(key & 0xffffffffu);
 }
 
-/// Expands canonical undirected edges into the both-directions, weight-1.0
-/// form DynamicTriangleCounter expects.
-inline std::vector<sparse::Triple<double>> both_directions(
-    const std::vector<sparse::Triple<double>>& edges) {
-    std::vector<sparse::Triple<double>> out;
-    out.reserve(edges.size() * 2);
-    for (const auto& e : edges) {
-        out.push_back({e.row, e.col, 1.0});
-        out.push_back({e.col, e.row, 1.0});
-    }
-    return out;
-}
-
 }  // namespace detail
 
 /// Live triangle count of the undirected simple graph induced by the
@@ -84,8 +71,9 @@ inline std::vector<sparse::Triple<double>> both_directions(
 ///      deletes of absent edges dissolve here, which is what upholds
 ///      DynamicTriangleCounter's "new edges only" / "existing edges only"
 ///      preconditions under arbitrary streams;
-///   3. the surviving edges feed insert_edges/remove_edges (both
-///      directions), and the refreshed count is published.
+///   3. the surviving edges, both directions, +1 for an insert and -1 for
+///      a delete, feed one DynamicTriangleCounter::update_edges, and the
+///      maintained count is published.
 /// MERGEs have no structural meaning for an unweighted graph and are
 /// counted into ops_skipped().
 class LiveTriangleMaintainer final : public Maintainer<double> {
@@ -146,7 +134,8 @@ public:
                                       t.value < 0.0);
             if (!inserted && t.value < 0.0) it->second = true;
         }
-        std::vector<sparse::Triple<double>> inserts, removes;
+        std::vector<sparse::Triple<double>> update;
+        update.reserve(2 * owner_net.size());
         for (const auto& [key, masked] : owner_net) {
             const sparse::index_t i = detail::key_row(key);
             const sparse::index_t j = detail::key_col(key);
@@ -154,17 +143,18 @@ public:
                 counter_.adjacency().local().find(shape.local_row(i),
                                                   shape.local_col(j)) !=
                 nullptr;
-            if (masked) {
-                if (present) removes.push_back({i, j, 1.0});
-            } else if (!present) {
-                inserts.push_back({i, j, 1.0});
+            // A MASK of a live edge removes it, an ADD of an absent edge
+            // inserts it; the rest dissolve.
+            if (masked == present) {
+                const double d = masked ? -1.0 : 1.0;
+                update.push_back({i, j, d});
+                update.push_back({j, i, d});
             }
         }
 
-        // 3. Both collective rounds run every epoch (possibly with empty
-        //    batches) so ranks stay in lockstep.
-        counter_.insert_edges(detail::both_directions(inserts));
-        counter_.remove_edges(detail::both_directions(removes));
+        // 3. One signed update runs every epoch (possibly empty) so ranks
+        //    stay in lockstep.
+        counter_.update_edges(std::move(update));
         publish();
     }
 
@@ -191,11 +181,10 @@ public:
     }
 
 private:
-    // Collective: one scalar all-reduce over an O(local nnz) rescan of the
-    // derived state — simple over incremental, and the cost is what
-    // bench_analytics_latency measures (same tradeoff in all maintainers).
+    // Collective: one scalar all-reduce of the counter's maintained sum,
+    // which each update adjusts by its delta (no rescan).
     void publish() {
-        count_.store(counter_.count(), std::memory_order_release);
+        count_.store(counter_.maintained_count(), std::memory_order_release);
     }
 
     graph::DynamicTriangleCounter counter_;

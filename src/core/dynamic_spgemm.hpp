@@ -232,18 +232,32 @@ void send_pieces(ProcessGrid& grid,
 
 }  // namespace detail
 
+/// The default absorbed-row sink of dynamic_spgemm_algebraic: none.
+struct NoRowSink {
+    void operator()(auto&&...) const {}
+};
+
 /// Algorithm 1: C <- C + A* B' + A B* over SR. A is the matrix *before* the
 /// update, Bprime the one *after*; Astar/Bstar are the hypersparse update
 /// matrices (semiring addition semantics). C is written between the local
-/// multiplies, so it must not alias A or Bprime. Collective.
-template <sparse::Semiring SR, typename T = typename SR::value_type>
+/// multiplies, so it must not alias A or Bprime.
+///
+/// on_row(local_row, cols, vals) is the one hook for absorbed rows: it runs
+/// on the round's root right after each row of a C* block (cols distinct,
+/// local coordinates) has been added into C. The blocks are partial: a
+/// coordinate of C* may reach the sink more than once per call (the root's
+/// own partial and each subtree's), and interior merges may forward explicit
+/// zeros. Summing what the sink sees gives C* exactly; C itself already holds
+/// the sum so far. Collective.
+template <sparse::Semiring SR, typename T = typename SR::value_type,
+          typename OnRow = NoRowSink>
 void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
                               const DistDynamicMatrix<T>& A,
                               const DistDcsr<T>& Astar,
                               const DistDynamicMatrix<T>& Bprime,
                               const DistDcsr<T>& Bstar,
                               const DynamicSpgemmOptions& opts = {},
-                              DistDynamicMatrix<T>* cstar_out = nullptr) {
+                              OnRow&& on_row = {}) {
     ProcessGrid& grid = C.shape().grid();
     const auto& rp = C.shape().row_partition();
     const auto& cp = C.shape().col_partition();
@@ -255,11 +269,7 @@ void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
         for (std::size_t r = 0; r < part.row_count(); ++r) {
             C.local().add_row(part.row_id(r), part.row_cols(r),
                               part.row_values(r), SR::add);
-            // Optionally collect C* itself (distributed), e.g. to feed the
-            // next stage of a chained product (graph contraction).
-            if (cstar_out != nullptr)
-                cstar_out->local().add_row(part.row_id(r), part.row_cols(r),
-                                           part.row_values(r), SR::add);
+            on_row(part.row_id(r), part.row_cols(r), part.row_values(r));
         }
     };
     detail::algebraic_rounds<T, T>(

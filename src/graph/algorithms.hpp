@@ -3,8 +3,8 @@
 // and a dynamic (incrementally maintained) variant:
 //
 //  - triangle_count / DynamicTriangleCounter — exact triangle counting via
-//    masked SUMMA, maintained as C = A·A under batch edge insertions AND
-//    deletions (deletions are algebraic in the (+,*) ring);
+//    masked SUMMA, maintained as C = A·A under signed batches of edge
+//    insertions and deletions (deletions are algebraic in the (+,*) ring);
 //  - khop_distances / DynamicMultiSourceProduct — multi-source (min,+)
 //    shortest distances; the dynamic class maintains the one-hop product
 //    D = S·A under algebraic updates (insertions / weight decreases);
@@ -17,11 +17,11 @@
 // src/analytics/graph_maintainers.hpp.
 #pragma once
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "core/dynamic_spgemm.hpp"
-#include "core/ewise.hpp"
 #include "core/summa.hpp"
 #include "core/update_ops.hpp"
 #include "par/buffer.hpp"
@@ -82,13 +82,26 @@ inline double triangle_count(const DistDynamicMatrix<double>& A,
     return total / 6.0;
 }
 
-/// Maintains A and C = A*A under batches of edge insertions, supporting an
-/// O(batch)-communication triangle count after every batch.
+/// Maintains A and C = A·A under signed batches of edge updates, and the
+/// triangle count from the update alone.
 ///
-/// Insertion uses the distributive expansion A'A' = AA + A A* + A* A' as two
-/// passes of Algorithm 1 (first Y = A A* with the pre-update A, then apply
-/// the update, then X = A* A' with the post-update A), avoiding a second
-/// copy of A.
+/// A batch is one signed update D: +1 for a new edge, -1 for an existing
+/// one. In the (+,*) ring a deletion is just another algebraic update
+/// (Section V: "A* can simply be computed as A' - A in rings"), so
+/// A'A' = AA + A D + D A' maintains C with two passes of Algorithm 1: first
+/// C += A D with the pre-update A, then A += D, then C += D A' with the
+/// post-update A (no second copy of A). Each pass pays only for what D
+/// touches:
+///  - every C entry an absorbed row leaves at exactly 0 is erased there
+///    (all values are integers, so cancellation is exact), and A is erased
+///    at D's -1 coordinates; no stored zero survives a batch;
+///  - S = sum(C .* A) over this rank's block (all-reduced, six times the
+///    triangle count) follows
+///        dS = sum(C*_1 .* A) + sum_D d * C_1(i, j) + sum(C*_2 .* A'),
+///    with C_1 = C after pass 1 and C*_k what pass k adds: the outer terms
+///    are read off the absorbed rows, the middle one is one lookup of C_1
+///    per entry of D. Every term is an integer below 2^53, so S is exact in
+///    any order.
 class DynamicTriangleCounter {
 public:
     DynamicTriangleCounter(ProcessGrid& grid, sparse::index_t n,
@@ -102,69 +115,72 @@ public:
                                                 a_.shape().nrows(),
                                                 a_.shape().ncols(),
                                                 std::move(edges));
-        core::add_update<sparse::PlusTimes<double>>(a_, update, pool_);
-        c_ = core::summa_multiply<sparse::PlusTimes<double>>(a_, a_,
-                                                             summa_opts());
+        core::add_update<Ring>(a_, update, pool_);
+        c_ = core::summa_multiply<Ring>(a_, a_, summa_opts());
+        s_ = local_masked_sum();
     }
 
-    /// Applies a batch of *new* edges (both directions, weight 1.0, not yet
-    /// present in the graph) and updates C = A*A dynamically. Collective.
+    /// Applies one signed batch and updates C = A*A and the maintained count.
+    /// Value +1 inserts an edge not in the graph, -1 removes one that is;
+    /// both directions of every edge are given and no coordinate appears
+    /// twice. Collective.
+    void update_edges(std::vector<sparse::Triple<double>> edges) {
+        ProcessGrid& grid = a_.shape().grid();
+        const auto n = a_.shape().nrows();
+        auto d = core::build_update_matrix(grid, n, n, std::move(edges));
+        DistDcsr<double> empty(grid, n, n);
+        core::DynamicSpgemmOptions opts;
+        opts.pool = pool_;
+        // The absorbed-row sink of both passes: adds C* .* A (A as the pass
+        // multiplies it) into S and erases the C entries the add left at 0.
+        // It reads C, not the partial: a coordinate may be absorbed more
+        // than once, and interior merges may forward explicit zeros.
+        auto sink = [&](sparse::index_t r,
+                        std::span<const sparse::index_t> cols,
+                        std::span<const double> vals) {
+            for (std::size_t x = 0; x < cols.size(); ++x) {
+                if (const double* a = a_.local().find(r, cols[x]))
+                    s_ += vals[x] * *a;
+                const double* c = c_.local().find(r, cols[x]);
+                if (c != nullptr && *c == 0.0) c_.local().erase(r, cols[x]);
+            }
+        };
+        // Pass 1: C += A D with A before the update.
+        core::dynamic_spgemm_algebraic<Ring>(c_, a_, empty, a_, d, opts, sink);
+        // sum_D d * C_1, then A' = A + D without the cancelled entries.
+        d.local().for_each([&](sparse::index_t i, sparse::index_t j, double v) {
+            if (const double* c = c_.local().find(i, j)) s_ += v * *c;
+        });
+        core::add_update<Ring>(a_, d, pool_);
+        d.local().for_each([&](sparse::index_t i, sparse::index_t j, double v) {
+            if (v < 0.0) a_.local().erase(i, j);
+        });
+        // Pass 2: C += D A' with A after the update.
+        core::dynamic_spgemm_algebraic<Ring>(c_, a_, d, a_, empty, opts, sink);
+    }
+
+    /// Inserts *new* edges (both directions). Collective.
     void insert_edges(std::vector<sparse::Triple<double>> edges) {
-        ProcessGrid& grid = a_.shape().grid();
-        const auto n = a_.shape().nrows();
-        auto astar = core::build_update_matrix(grid, n, n, std::move(edges));
-        DistDcsr<double> empty(grid, n, n);
-        core::DynamicSpgemmOptions opts;
-        opts.pool = pool_;
-        // Pass 1: C += A_old * A*   (left update matrix empty).
-        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
-            c_, a_, empty, a_, astar, opts);
-        // Apply the update: A <- A + A*.
-        core::add_update<sparse::PlusTimes<double>>(a_, astar, pool_);
-        // Pass 2: C += A* * A_new  (right update matrix empty).
-        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
-            c_, a_, astar, a_, empty, opts);
+        update_edges(with_value(std::move(edges), 1.0));
     }
 
-    /// Removes a batch of *existing* edges (both directions). In the (+,*)
-    /// ring a deletion is the algebraic update a* = -1 (Section V: "A* can
-    /// simply be computed as A' - A in rings"), so the same two-pass flow as
-    /// insertion maintains C; the cancelled entries are then pruned so they
-    /// do not accumulate as structural zeros. Collective.
+    /// Removes *existing* edges (both directions): the update d = -1.
+    /// Collective.
     void remove_edges(std::vector<sparse::Triple<double>> edges) {
-        for (auto& e : edges) e.value = -1.0;
-        ProcessGrid& grid = a_.shape().grid();
-        const auto n = a_.shape().nrows();
-        auto astar = core::build_update_matrix(grid, n, n, std::move(edges));
-        DistDcsr<double> empty(grid, n, n);
-        core::DynamicSpgemmOptions opts;
-        opts.pool = pool_;
-        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
-            c_, a_, empty, a_, astar, opts);
-        core::add_update<sparse::PlusTimes<double>>(a_, astar, pool_);
-        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
-            c_, a_, astar, a_, empty, opts);
-        // Drop the numerically cancelled entries of A (they must not count
-        // as structural non-zeros of the graph); C's cancelled entries are
-        // harmless for count() but pruned as well to keep it tight.
-        core::ewise_prune(a_, [](sparse::index_t, sparse::index_t, double v) {
-            return std::abs(v) < 1e-12;
-        });
-        core::ewise_prune(c_, [](sparse::index_t, sparse::index_t, double v) {
-            return std::abs(v) < 1e-12;
-        });
+        update_edges(with_value(std::move(edges), -1.0));
     }
 
-    /// Current triangle count: sum of C under the mask A, divided by 6.
-    /// Collective (one scalar all-reduce; no matrix communication).
+    /// The maintained triangle count, S / 6. Collective (one scalar
+    /// all-reduce; no rescan).
+    [[nodiscard]] double maintained_count() const {
+        return global_sum(s_) / 6.0;
+    }
+
+    /// Triangle count recomputed by a rescan: sum of C under the mask A,
+    /// divided by 6 — the check on maintained_count(). Collective (one
+    /// scalar all-reduce; no matrix communication).
     [[nodiscard]] double count() const {
-        double local = 0.0;
-        a_.local().for_each([&](sparse::index_t i, sparse::index_t j, double) {
-            if (const double* v = c_.local().find(i, j)) local += *v;
-        });
-        const double total = a_.shape().grid().world().allreduce<double>(
-            local, [](double x, double y) { return x + y; });
-        return total / 6.0;
+        return global_sum(local_masked_sum()) / 6.0;
     }
 
     [[nodiscard]] const DistDynamicMatrix<double>& adjacency() const {
@@ -173,7 +189,8 @@ public:
     [[nodiscard]] const DistDynamicMatrix<double>& square() const { return c_; }
 
     /// Rank-local checkpoint of A and C = A·A (src/persist/); pair with
-    /// load() on an identically constructed counter on the same grid.
+    /// load() on an identically constructed counter on the same grid. S is
+    /// not stored: load() recomputes it by a local rescan.
     void save(par::Buffer& out) const {
         a_.local().serialize(out);
         c_.local().serialize(out);
@@ -181,9 +198,31 @@ public:
     void load(par::BufferReader& in) {
         detail::restore_local_block(a_, in);
         detail::restore_local_block(c_, in);
+        s_ = local_masked_sum();
     }
 
 private:
+    using Ring = sparse::PlusTimes<double>;
+
+    static std::vector<sparse::Triple<double>> with_value(
+        std::vector<sparse::Triple<double>> edges, double value) {
+        for (auto& e : edges) e.value = value;
+        return edges;
+    }
+
+    [[nodiscard]] double local_masked_sum() const {
+        double local = 0.0;
+        a_.local().for_each([&](sparse::index_t i, sparse::index_t j, double) {
+            if (const double* v = c_.local().find(i, j)) local += *v;
+        });
+        return local;
+    }
+
+    [[nodiscard]] double global_sum(double local) const {
+        return a_.shape().grid().world().allreduce<double>(
+            local, [](double x, double y) { return x + y; });
+    }
+
     core::SummaOptions summa_opts() const {
         core::SummaOptions opts;
         opts.pool = pool_;
@@ -193,6 +232,7 @@ private:
     DistDynamicMatrix<double> a_;
     DistDynamicMatrix<double> c_;
     par::ThreadPool* pool_;
+    double s_ = 0.0;  // rank-local sum(C .* A)
 };
 
 /// Builds the source-selector matrix S (|sources| x n) over (min,+): row s
@@ -350,7 +390,12 @@ public:
         DistDynamicMatrix<double> tstar_dyn(grid, n, s);
         core::DistDcsr<double> empty_ns(grid, n, s);
         core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
-            t_, a_, astar, s_, empty_ns, opts, &tstar_dyn);
+            t_, a_, astar, s_, empty_ns, opts,
+            [&](sparse::index_t r, std::span<const sparse::index_t> cols,
+                std::span<const double> vals) {
+                tstar_dyn.local().add_row(r, cols, vals,
+                                          sparse::PlusTimes<double>::add);
+            });
         core::add_update<sparse::PlusTimes<double>>(a_, astar, pool_);
 
         // Stage 2: C += S^T T* (transposed-left dynamic SpGEMM).

@@ -139,7 +139,9 @@ public:
         }
     }
 
-    /// Removes (i, j); returns whether it existed. O(1) expected.
+    /// Removes (i, j); returns whether it existed. O(1) amortized: a row
+    /// that falls to a quarter of its capacity is reallocated at twice its
+    /// size, index included, so rows that shrink give their memory back.
     bool erase(index_t i, index_t j) {
         assert(i >= 0 && i < nrows_ && j >= 0 && j < ncols_);
         auto& row = rows_[static_cast<std::size_t>(i)];
@@ -154,6 +156,9 @@ public:
         row.entries.pop_back();
         row.index.erase(j);
         --nnz_;
+        if (row.entries.capacity() > kShrinkFloor &&
+            row.entries.size() * 4 <= row.entries.capacity())
+            shrink(row);
         return true;
     }
 
@@ -241,6 +246,8 @@ private:
     };
 
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+    /// Rows with at most this capacity are never reallocated by erase().
+    static constexpr std::size_t kShrinkFloor = 4 * kIndexThreshold;
 
     std::size_t locate(const Row& row, index_t j) const {
         if (!row.index.empty()) {
@@ -250,6 +257,21 @@ private:
         for (std::size_t k = 0; k < row.entries.size(); ++k)
             if (row.entries[k].col == j) return k;
         return npos;
+    }
+
+    /// Reallocates a row at twice its size and rebuilds its index (dropping
+    /// the tombstones), or frees the index when the row no longer needs one.
+    static void shrink(Row& row) {
+        std::vector<Entry> entries;
+        entries.reserve(2 * row.entries.size());
+        entries.assign(row.entries.begin(), row.entries.end());
+        row.entries.swap(entries);
+        row.index = {};
+        if (row.entries.size() <= kIndexThreshold) return;
+        row.index.reserve(2 * row.entries.size());
+        for (std::size_t k = 0; k < row.entries.size(); ++k)
+            row.index.get_or_insert(row.entries[k].col,
+                                    static_cast<std::uint32_t>(k));
     }
 
     /// Appends (i, j) to its row WITHOUT checking for a duplicate — only for

@@ -238,6 +238,14 @@ private:
             expect_adj[{j, i}] = 1.0;
         }
         test::expect_matches_exactly(tri_.counter().adjacency(), expect_adj);
+
+        // C = A·A exactly: every two-path counted, and no stored zero left
+        // behind by cancelled entries.
+        CoordMap expect_square;
+        for (const auto& [i, nbrs] : adj)
+            for (const index_t k : nbrs)
+                for (const index_t j : adj[k]) expect_square[{i, j}] += 1.0;
+        test::expect_matches_exactly(tri_.counter().square(), expect_square);
     }
 
     void verify_distances() {

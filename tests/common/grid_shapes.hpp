@@ -1,5 +1,5 @@
 // The grid-shape test matrix: one parameterized sweep shared by the core,
-// stream, persist, and serve suites.
+// graph, stream, persist, and serve suites.
 //
 // Each GridCase names a process-grid shape (square AND rectangular) plus how
 // each rank runs its local kernels: inline on the rank thread, or on an

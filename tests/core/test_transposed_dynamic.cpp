@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 
 #include "common/grid_shapes.hpp"
 #include "core/dynamic_spgemm.hpp"
@@ -210,7 +211,11 @@ TEST_P(TransAP, CstarOutCollectsExactlyTheDelta) {
         DistDcsr<double> Bstar(grid, n, n);
         DistDynamicMatrix<double> cstar(grid, n, n);
         core::dynamic_spgemm_algebraic<PlusTimes<double>>(
-            C, A, Astar, B, Bstar, dopts, &cstar);
+            C, A, Astar, B, Bstar, dopts,
+            [&](index_t r, std::span<const index_t> cols,
+                std::span<const double> vals) {
+                cstar.local().add_row(r, cols, vals, PlusTimes<double>::add);
+            });
         // cstar == A* B exactly.
         auto expect = test::reference_multiply<PlusTimes<double>>(
             as_map(upd), as_map(tb));

@@ -3,9 +3,15 @@
 // hop-bounded Bellman-Ford reference; dynamic maintenance equals recompute.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
+#include <set>
+#include <string>
+#include <utility>
 
+#include "common/grid_shapes.hpp"
+#include "core/dist_test_utils.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 
@@ -15,6 +21,7 @@ using namespace dsg;
 using core::ProcessGrid;
 using graph::DynamicMultiSourceProduct;
 using graph::DynamicTriangleCounter;
+using dsg::test::GridCase;
 using par::Comm;
 using par::run_world;
 using sparse::index_t;
@@ -72,56 +79,6 @@ TEST_P(AlgoP, TriangleCountMatchesBruteForceOnRandomGraph) {
             c.rank() == 0 ? sym : std::vector<Triple<double>>{});
         EXPECT_DOUBLE_EQ(graph::triangle_count(A),
                          static_cast<double>(brute_force_triangles(sym, n)));
-    });
-}
-
-TEST_P(AlgoP, DynamicTriangleCounterTracksInsertions) {
-    run_world(GetParam(), [&](Comm& c) {
-        ProcessGrid grid(c);
-        const index_t n = 20;
-        std::mt19937_64 rng(99);
-        auto all = graph::simplify(graph::erdos_renyi_edges(n, 120, 6));
-        for (auto& e : all) e.value = 1.0;
-        auto sym = graph::simplify(graph::symmetrize(all));
-        // Split into an initial half and three batches of undirected edges.
-        std::vector<Triple<double>> undirected;
-        for (const auto& e : sym)
-            if (e.row < e.col) undirected.push_back(e);
-        const std::size_t half = undirected.size() / 2;
-
-        auto both_dirs = [](const std::vector<Triple<double>>& es) {
-            std::vector<Triple<double>> out;
-            for (const auto& e : es) {
-                out.push_back(e);
-                out.push_back({e.col, e.row, e.value});
-            }
-            return out;
-        };
-        auto feed = [&](std::vector<Triple<double>> ts) {
-            return c.rank() == 0 ? ts : std::vector<Triple<double>>{};
-        };
-
-        DynamicTriangleCounter counter(grid, n);
-        std::vector<Triple<double>> current(undirected.begin(),
-                                            undirected.begin() + half);
-        counter.initialize(feed(both_dirs(current)));
-        EXPECT_DOUBLE_EQ(
-            counter.count(),
-            static_cast<double>(brute_force_triangles(both_dirs(current), n)));
-
-        const std::size_t rest = undirected.size() - half;
-        for (int batch = 0; batch < 3; ++batch) {
-            const std::size_t b = half + batch * rest / 3;
-            const std::size_t e = half + (batch + 1) * rest / 3;
-            std::vector<Triple<double>> newly(undirected.begin() + b,
-                                              undirected.begin() + e);
-            counter.insert_edges(feed(both_dirs(newly)));
-            current.insert(current.end(), newly.begin(), newly.end());
-            EXPECT_DOUBLE_EQ(counter.count(),
-                             static_cast<double>(brute_force_triangles(
-                                 both_dirs(current), n)))
-                << "batch " << batch;
-        }
     });
 }
 
@@ -210,57 +167,6 @@ TEST_P(AlgoP, DynamicMultiSourceProductTracksDecreases) {
     });
 }
 
-TEST_P(AlgoP, DynamicTriangleCounterTracksDeletions) {
-    run_world(GetParam(), [&](Comm& c) {
-        ProcessGrid grid(c);
-        const index_t n = 18;
-        auto all = graph::simplify(graph::erdos_renyi_edges(n, 90, 31));
-        for (auto& e : all) e.value = 1.0;
-        auto sym = graph::simplify(graph::symmetrize(all));
-        std::vector<Triple<double>> undirected;
-        for (const auto& e : sym)
-            if (e.row < e.col) undirected.push_back(e);
-        auto both = [](const std::vector<Triple<double>>& es) {
-            std::vector<Triple<double>> out;
-            for (const auto& e : es) {
-                out.push_back(e);
-                out.push_back({e.col, e.row, e.value});
-            }
-            return out;
-        };
-        auto feed = [&](std::vector<Triple<double>> ts) {
-            return c.rank() == 0 ? ts : std::vector<Triple<double>>{};
-        };
-        graph::DynamicTriangleCounter counter(grid, n);
-        counter.initialize(feed(both(undirected)));
-        EXPECT_DOUBLE_EQ(counter.count(),
-                         static_cast<double>(
-                             brute_force_triangles(both(undirected), n)));
-
-        // Remove every fourth edge in two batches; count must track exactly.
-        std::vector<Triple<double>> doomed;
-        std::vector<Triple<double>> kept;
-        for (std::size_t x = 0; x < undirected.size(); ++x)
-            (x % 4 == 0 ? doomed : kept).push_back(undirected[x]);
-        const std::size_t half = doomed.size() / 2;
-        std::vector<Triple<double>> first(doomed.begin(), doomed.begin() + half);
-        std::vector<Triple<double>> second(doomed.begin() + half, doomed.end());
-
-        counter.remove_edges(feed(both(first)));
-        std::vector<Triple<double>> current = kept;
-        current.insert(current.end(), second.begin(), second.end());
-        EXPECT_DOUBLE_EQ(counter.count(),
-                         static_cast<double>(
-                             brute_force_triangles(both(current), n)));
-
-        counter.remove_edges(feed(both(second)));
-        EXPECT_DOUBLE_EQ(counter.count(),
-                         static_cast<double>(brute_force_triangles(both(kept), n)));
-        // A's structural size matches the surviving edge set.
-        EXPECT_EQ(counter.adjacency().global_nnz(), 2 * kept.size());
-    });
-}
-
 TEST_P(AlgoP, DynamicContractionMatchesDirectComputation) {
     run_world(GetParam(), [&](Comm& c) {
         ProcessGrid grid(c);
@@ -306,5 +212,217 @@ TEST_P(AlgoP, DynamicContractionMatchesDirectComputation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Worlds, AlgoP, ::testing::Values(1, 4));
+
+// ---------------------------------------------------------------------------
+// DynamicTriangleCounter on every grid shape of the sweep (1x4 and larger
+// rows put interior tree nodes, which merge signed partials, in front of
+// the absorbed-row sink).
+// ---------------------------------------------------------------------------
+
+class TriangleG : public ::testing::TestWithParam<GridCase> {};
+
+std::vector<Triple<double>> both_directions(
+    const std::vector<Triple<double>>& es) {
+    std::vector<Triple<double>> out;
+    for (const auto& e : es) {
+        out.push_back(e);
+        out.push_back({e.col, e.row, e.value});
+    }
+    return out;
+}
+
+/// The per-batch checks: the maintained count, the rescanned count() and
+/// the brute-force count of `undirected` agree exactly, and C equals
+/// summa_multiply(A, A) entry for entry with no stored zero. Collective.
+void expect_counter_exact(const DynamicTriangleCounter& counter,
+                          const std::vector<Triple<double>>& undirected,
+                          index_t n, const std::string& where) {
+    const auto brute = static_cast<double>(
+        brute_force_triangles(both_directions(undirected), n));
+    EXPECT_EQ(counter.maintained_count(), brute) << where;
+    EXPECT_EQ(counter.count(), brute) << where;
+    EXPECT_EQ(counter.adjacency().global_nnz(), 2 * undirected.size())
+        << where;
+    const auto reference = core::summa_multiply<sparse::PlusTimes<double>>(
+        counter.adjacency(), counter.adjacency());
+    const auto got = test::as_map(counter.square().gather_global());
+    const auto expect = test::as_map(reference.gather_global());
+    std::size_t stored_zeros = 0;
+    for (const auto& [coord, v] : got) stored_zeros += v == 0.0 ? 1 : 0;
+    EXPECT_EQ(stored_zeros, 0u) << where << ": stored zeros in C";
+    EXPECT_TRUE(got == expect) << where << ": C differs from A*A ("
+                               << got.size() << " vs " << expect.size()
+                               << " entries)";
+}
+
+TEST_P(TriangleG, DynamicTriangleCounterTracksInsertions) {
+    const GridCase gc = GetParam();
+    run_world(gc.p(), [&](Comm& c) {
+        ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        const index_t n = 20;
+        auto all = graph::simplify(graph::erdos_renyi_edges(n, 120, 6));
+        for (auto& e : all) e.value = 1.0;
+        auto sym = graph::simplify(graph::symmetrize(all));
+        // Split into an initial half and three batches of undirected edges.
+        std::vector<Triple<double>> undirected;
+        for (const auto& e : sym)
+            if (e.row < e.col) undirected.push_back(e);
+        const std::size_t half = undirected.size() / 2;
+        auto feed = [&](std::vector<Triple<double>> ts) {
+            return c.rank() == 0 ? ts : std::vector<Triple<double>>{};
+        };
+
+        DynamicTriangleCounter counter(grid, n, pool.get());
+        std::vector<Triple<double>> current(undirected.begin(),
+                                            undirected.begin() + half);
+        counter.initialize(feed(both_directions(current)));
+        expect_counter_exact(counter, current, n, "initial");
+
+        const std::size_t rest = undirected.size() - half;
+        for (int batch = 0; batch < 3; ++batch) {
+            const std::size_t b = half + batch * rest / 3;
+            const std::size_t e = half + (batch + 1) * rest / 3;
+            std::vector<Triple<double>> newly(undirected.begin() + b,
+                                              undirected.begin() + e);
+            counter.insert_edges(feed(both_directions(newly)));
+            current.insert(current.end(), newly.begin(), newly.end());
+            expect_counter_exact(counter, current, n,
+                                 "batch " + std::to_string(batch));
+        }
+    });
+}
+
+TEST_P(TriangleG, DynamicTriangleCounterTracksDeletions) {
+    const GridCase gc = GetParam();
+    run_world(gc.p(), [&](Comm& c) {
+        ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        const index_t n = 18;
+        auto all = graph::simplify(graph::erdos_renyi_edges(n, 90, 31));
+        for (auto& e : all) e.value = 1.0;
+        auto sym = graph::simplify(graph::symmetrize(all));
+        std::vector<Triple<double>> undirected;
+        for (const auto& e : sym)
+            if (e.row < e.col) undirected.push_back(e);
+        auto feed = [&](std::vector<Triple<double>> ts) {
+            return c.rank() == 0 ? ts : std::vector<Triple<double>>{};
+        };
+        DynamicTriangleCounter counter(grid, n, pool.get());
+        counter.initialize(feed(both_directions(undirected)));
+        expect_counter_exact(counter, undirected, n, "initial");
+
+        // Remove every fourth edge in two batches; count must track exactly.
+        std::vector<Triple<double>> doomed;
+        std::vector<Triple<double>> kept;
+        for (std::size_t x = 0; x < undirected.size(); ++x)
+            (x % 4 == 0 ? doomed : kept).push_back(undirected[x]);
+        const std::size_t half = doomed.size() / 2;
+        std::vector<Triple<double>> first(doomed.begin(), doomed.begin() + half);
+        std::vector<Triple<double>> second(doomed.begin() + half, doomed.end());
+
+        counter.remove_edges(feed(both_directions(first)));
+        std::vector<Triple<double>> current = kept;
+        current.insert(current.end(), second.begin(), second.end());
+        expect_counter_exact(counter, current, n, "first removal");
+
+        counter.remove_edges(feed(both_directions(second)));
+        expect_counter_exact(counter, kept, n, "second removal");
+    });
+}
+
+// Batches that insert (+1) and remove (-1) at once. Two of them are built to
+// make C cancel: removing every edge of one vertex drives its C_ii (and the
+// C entries of its two-paths) to zero, and swapping the middle vertex of a
+// two-path (insert 17-19, remove 18-19, with 16-17 and 16-18 present) has
+// pass 1 add +1 and -1 to C(16, 19) from different inner indices.
+TEST_P(TriangleG, DynamicTriangleCounterTracksMixedBatches) {
+    const GridCase gc = GetParam();
+    run_world(gc.p(), [&](Comm& c) {
+        ProcessGrid grid = dsg::test::make_grid(c, gc);
+        auto pool = dsg::test::make_pool(gc);
+        const index_t n = 24;
+        std::set<std::pair<index_t, index_t>> edges;  // undirected, row < col
+        for (const auto& e : graph::erdos_renyi_edges(16, 70, 47))
+            if (e.row != e.col)
+                edges.insert({std::min(e.row, e.col), std::max(e.row, e.col)});
+        edges.insert({16, 17});
+        edges.insert({16, 18});
+        edges.insert({18, 19});
+        auto undirected = [&] {
+            std::vector<Triple<double>> out;
+            for (const auto& [u, v] : edges) out.push_back({u, v, 1.0});
+            return out;
+        };
+
+        DynamicTriangleCounter counter(grid, n, pool.get());
+        counter.initialize(
+            c.rank() == 0 ? both_directions(undirected())
+                          : std::vector<Triple<double>>{});
+        expect_counter_exact(counter, undirected(), n, "initial");
+
+        std::mt19937_64 rng(53);
+        auto apply = [&](const std::vector<std::pair<index_t, index_t>>& ins,
+                         const std::vector<std::pair<index_t, index_t>>& rem,
+                         const std::string& where) {
+            std::vector<Triple<double>> update;
+            for (const auto& [u, v] : ins) {
+                ASSERT_TRUE(edges.insert({u, v}).second) << where;
+                update.push_back({u, v, 1.0});
+            }
+            for (const auto& [u, v] : rem) {
+                ASSERT_EQ(edges.erase({u, v}), 1u) << where;
+                update.push_back({u, v, -1.0});
+            }
+            counter.update_edges(c.rank() == 0 ? both_directions(update)
+                                               : std::vector<Triple<double>>{});
+            expect_counter_exact(counter, undirected(), n, where);
+        };
+        // A random mix over vertices [0, 16): every third live edge goes,
+        // and as many absent pairs come in.
+        auto random_mix = [&](const std::string& where) {
+            std::vector<std::pair<index_t, index_t>> ins, rem;
+            std::size_t x = 0;
+            for (const auto& e : edges)
+                if (e.second < 16 && x++ % 3 == 0) rem.push_back(e);
+            std::set<std::pair<index_t, index_t>> chosen;
+            while (ins.size() < rem.size()) {
+                const auto u = static_cast<index_t>(rng() % 16);
+                const auto v = static_cast<index_t>(rng() % 16);
+                const std::pair<index_t, index_t> e{std::min(u, v),
+                                                    std::max(u, v)};
+                if (u != v && !edges.count(e) && chosen.insert(e).second)
+                    ins.push_back(e);
+            }
+            apply(ins, rem, where);
+        };
+
+        random_mix("random mix 1");
+        {
+            // Isolate vertex 3; swap the two-path 16-18-19 for 16-17-19.
+            std::vector<std::pair<index_t, index_t>> rem{{18, 19}};
+            for (const auto& e : edges)
+                if (e.first == 3 || e.second == 3) rem.push_back(e);
+            ASSERT_GT(rem.size(), 2u);
+            std::vector<std::pair<index_t, index_t>> ins{{17, 19}};
+            if (!edges.count({1, 2})) ins.push_back({1, 2});
+            apply(ins, rem, "isolate 3, swap two-path");
+        }
+        random_mix("random mix 2");
+        {
+            // Reconnect vertex 3; drop the gadget's two-paths.
+            std::vector<std::pair<index_t, index_t>> ins{{18, 19}};
+            for (index_t w = 4; w < 16 && ins.size() < 4; ++w)
+                if (!edges.count({3, w})) ins.push_back({3, w});
+            apply(ins, {{16, 17}, {16, 18}, {17, 19}},
+                  "reconnect 3, drop the gadget's two-paths");
+        }
+        apply({}, {}, "empty batch");
+    });
+}
+
+INSTANTIATE_TEST_SUITE_P(GridShapes, TriangleG,
+                         ::testing::ValuesIn(dsg::test::grid_shape_cases()),
+                         dsg::test::grid_case_name);
 
 }  // namespace

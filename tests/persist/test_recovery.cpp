@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -187,6 +188,23 @@ TEST(Recovery, AnalyticsMaintainersRestoredBitIdentically) {
 
         const auto got = hub.snapshots();
         const auto adj = test::sorted_global(tri.counter().adjacency());
+
+        // The recovered triangle counter keeps counting from the delta:
+        // load() recomputed its sum, so further epochs (masks of live edges
+        // beside fresh adds) must still agree with a rescan.
+        std::mt19937_64 rng(700 + static_cast<std::uint64_t>(comm.rank()));
+        for (std::size_t epoch = 0; epoch < 4; ++epoch) {
+            stream::EpochDelta<double> delta;
+            for (std::size_t k = 0; k < 8 && !adj.empty(); ++k)
+                delta.masks.push_back(adj[(rng() % adj.size())]);
+            for (std::size_t k = 0; k < 24; ++k)
+                delta.adds.push_back({static_cast<index_t>(rng() % n),
+                                      static_cast<index_t>(rng() % n), 1.0});
+            hub.on_epoch(delta);
+            EXPECT_EQ(tri.snapshot(), tri.counter().count())
+                << "epoch " << epoch << " after recovery";
+        }
+
         if (comm.rank() == 0) {
             ASSERT_EQ(got.size(), live_snapshots.size());
             for (std::size_t k = 0; k < got.size(); ++k) {

@@ -143,6 +143,49 @@ TEST(DynamicMatrix, MemoryBytesGrowsWithContent) {
     EXPECT_GT(m.memory_bytes(), before);
 }
 
+// A row that grows and then loses most of its entries gives the memory back
+// (rows keep no largest-ever capacity), and every surviving entry stays
+// findable through the rebuilt index while the row keeps churning.
+TEST(DynamicMatrix, EraseGivesShrunkRowsMemoryBack) {
+    DynamicMatrix<double> m(2, 1000);
+    const auto empty_bytes = m.memory_bytes();
+    std::map<index_t, double> ref;
+    for (index_t j = 0; j < 512; ++j) {
+        m.insert_or_assign(0, j, static_cast<double>(j));
+        ref[j] = static_cast<double>(j);
+    }
+    const auto full_bytes = m.memory_bytes();
+    for (index_t j = 0; j < 500; ++j) {
+        ASSERT_TRUE(m.erase(0, j));
+        ref.erase(j);
+    }
+    EXPECT_LT(m.memory_bytes() - empty_bytes, (full_bytes - empty_bytes) / 8);
+
+    std::mt19937_64 rng(7);
+    for (int step = 0; step < 5000; ++step) {
+        const auto j = static_cast<index_t>(rng() % 1000);
+        if (rng() % 2 == 0) {
+            m.insert_or_assign(0, j, static_cast<double>(step));
+            ref[j] = static_cast<double>(step);
+        } else {
+            EXPECT_EQ(m.erase(0, j), ref.erase(j) == 1);
+        }
+    }
+    ASSERT_EQ(m.nnz(), ref.size());
+    for (index_t j = 0; j < 1000; ++j) {
+        const double* v = m.find(0, j);
+        const auto it = ref.find(j);
+        ASSERT_EQ(v != nullptr, it != ref.end()) << "col " << j;
+        if (v != nullptr) {
+            EXPECT_EQ(*v, it->second);
+        }
+    }
+    // Emptied, the row keeps at most a small row's worth.
+    for (const auto& [j, v] : ref) ASSERT_TRUE(m.erase(0, j));
+    EXPECT_EQ(m.nnz(), 0u);
+    EXPECT_LT(m.memory_bytes() - empty_bytes, (full_bytes - empty_bytes) / 8);
+}
+
 // add_row into an empty row takes the row in one piece: past the index
 // threshold the hash index is built once, every column is found, and the
 // row costs no more memory than the same row inserted entry by entry.
